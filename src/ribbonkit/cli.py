@@ -19,7 +19,8 @@ from .document import ComplexDocument, format_rational, parse_document
 from .errors import RibbonError, SchemaViolation
 from .geometry import Point2, to_fraction
 from .homology import nerve_theorem_check
-from .nerves import Region, nerve, ribbon_nerve
+# ribbon_nerve stays bound in this module: perfbench/spans.py traces it here.
+from .nerves import Region, _ribbon_groups, nerve, ribbon_nerve
 from .proximity import distance_sq, dx_near
 from .ribbons import Ribbon, RibbonComplex, VortexNerve
 from .svgrender import render_svg
@@ -81,12 +82,11 @@ def _cmd_nerve(args) -> int:
         return EXIT_OK
     for name in sorted(doc.ribbon_complexes):
         rbx = doc.ribbon_complexes[name]
-        groups = ribbon_nerve(rbx)
+        sc = nerve([Region.from_ribbon(r) for r in rbx.ribbons])
         rendered = " ".join(
-            "{" + ",".join(r.label for r in g.ribbons) + "}" for g in groups
+            "{" + ",".join(r.label for r in g.ribbons) + "}" for g in _ribbon_groups(rbx, sc)
         )
         print(f"{name} groups: {rendered}")
-        sc = nerve([Region.from_ribbon(r) for r in rbx.ribbons])
         simplices = sorted(
             tuple(sc.vertex_labels[i] for i in sorted(s)) for s in sc.simplices
         )

@@ -91,17 +91,6 @@ class ComplexDocument:
                 return table[name]
         raise UnknownTarget(f"document has no structure named {name!r}")
 
-    def target_names(self) -> Tuple[str, ...]:
-        names: List[str] = []
-        for table in (
-            self.ribbons,
-            self.ribbon_complexes,
-            self.vortex_nerves,
-            self.cycles,
-        ):
-            names.extend(table)
-        return tuple(sorted(names))
-
 
 def _expect_dict(node, path: str) -> dict:
     if not isinstance(node, dict):
@@ -303,13 +292,6 @@ def parse_document(text: str) -> ComplexDocument:
             raise SchemaViolation(f"$.threshold: must be positive, got {th}")
         doc.threshold = th
     return doc
-
-
-def _complex_name(doc: ComplexDocument, k: CellComplex) -> str:
-    for name, obj in doc.complexes.items():
-        if obj is k:
-            return name
-    raise ValueError("structure belongs to a complex that is not in the document")
 
 
 def _cycle_name(doc: ComplexDocument, c: FilledCycle) -> str:

@@ -22,7 +22,6 @@ from .errors import (
 from .ribbons import Filament, Ribbon
 
 ANGLE_DEN = 10**6
-_PI_GRID = Fraction(3141593, ANGLE_DEN)
 
 
 @dataclass(eq=False)

@@ -47,9 +47,6 @@ class Point2:
     x: Fraction
     y: Fraction
 
-    def translated(self, dx: Fraction, dy: Fraction) -> "Point2":
-        return Point2(self.x + dx, self.y + dy)
-
     def __repr__(self) -> str:
         return f"({self.x}, {self.y})"
 

@@ -1,14 +1,29 @@
 """Nerve construction over finite collections of closed planar regions.
 
 The nerve of a collection is the abstract simplicial complex of all
-nonempty subcollections whose members share a common point.  Witness
-points are searched over an exact candidate set: every boundary vertex,
-every pairwise boundary crossing, and one interior sample per loop, which
-is complete for piecewise-linear closed regions.
+nonempty subcollections whose members share a common point.  It is built
+in one pass over the arrangement of all region boundaries:
+
+1. One candidate list for the whole family: every boundary vertex, every
+   crossing of two boundaries of distinct regions, and one interior sample
+   per loop.  Region pairs and segment pairs whose bounding boxes are
+   disjoint are skipped, as they cannot cross.
+2. Each candidate is classified against every region with
+   :meth:`Region.contains`, giving the bitmask of the regions that hold it.
+3. The nerve is the downward closure of the maximal masks.
+
+This is exact.  The common intersection of a subcollection is compact and
+polygonal, so when it is nonempty its lexicographically least point is a
+vertex of the arrangement of that subcollection's boundaries.  The global
+candidate list contains every such vertex, so every simplex has a witness
+whose mask holds it, and no mask holds a subcollection without a common
+point.  :func:`common_witness` searches the same candidate list restricted
+to the regions it is given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -92,7 +107,26 @@ class Region:
         return f"Region({self.label or len(self.loops)})"
 
 
+def _box(points) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Bounding box ``(xmin, ymin, xmax, ymax)`` of a nonempty point set."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def _boxes_meet(a, b) -> bool:
+    """The closed boxes ``(xmin, ymin, xmax, ymax)`` share a point."""
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
 def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
+    """Arrangement vertices of the boundaries plus one sample per loop.
+
+    In order: every boundary vertex, every crossing of two boundaries of
+    distinct regions, every interior sample; duplicates dropped.  Pairs of
+    regions or segments whose bounding boxes are disjoint cannot cross
+    and are skipped, so the list equals the unpruned one.
+    """
     seen = set()
     out: List[Point2] = []
 
@@ -105,18 +139,21 @@ def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
     for r in regions:
         for p in r.boundary_vertices():
             push(p)
-    for i, r1 in enumerate(regions):
-        segs1 = r1.boundary_segments()
-        for r2 in regions[i + 1 :]:
-            for a, b in segs1:
-                for c, d in r2.boundary_segments():
+    segments = [[(a, b, _box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    boxes = [_box(r.boundary_vertices()) for r in regions]
+    for i, segs1 in enumerate(segments):
+        for j in range(i + 1, len(regions)):
+            if not _boxes_meet(boxes[i], boxes[j]):
+                continue
+            for a, b, box1 in segs1:
+                for c, d, box2 in segments[j]:
+                    if not _boxes_meet(box1, box2):
+                        continue
                     inter = segment_intersection(a, b, c, d)
                     if inter is None:
                         continue
-                    if inter[0] == "point":
-                        push(inter[1])
-                    else:
-                        push(inter[1])
+                    push(inter[1])
+                    if inter[0] == "segment":
                         push(inter[2])
     for r in regions:
         for p in r.interior_samples():
@@ -150,10 +187,17 @@ class SimplicialComplex:
         return True
 
     def maximal_simplices(self) -> Tuple[Tuple[int, ...], ...]:
+        """Simplices with no coface; assumes the complex is downward closed.
+
+        In a downward-closed complex a simplex with any proper coface also
+        has one a vertex larger, so only the cofaces ``s | {v}`` are tried.
+        """
+        simplices = self.simplices
+        vertices = frozenset().union(*simplices)
         maximal = [
             s
-            for s in self.simplices
-            if not any(s < t for t in self.simplices)
+            for s in simplices
+            if not any(s | {v} in simplices for v in vertices - s)
         ]
         return tuple(sorted(tuple(sorted(s)) for s in maximal))
 
@@ -173,42 +217,34 @@ def nerve(regions: Sequence[Region]) -> SimplicialComplex:
         raise EmptyCollection("nerve of an empty collection")
     if len(regions) > 20:
         raise CollectionTooLarge(f"nerve enumeration capped at 20 regions, got {len(regions)}")
-    n = len(regions)
-    simplices = {frozenset((i,)) for i in range(n)}
-    level = [frozenset((i,)) for i in range(n)]
-    while level:
-        next_level = []
-        seen = set()
-        for s in level:
-            for j in range(max(s) + 1, n):
-                cand = s | {j}
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                if any(
-                    frozenset(f) not in simplices
-                    for f in combinations(sorted(cand), len(cand) - 1)
-                ):
-                    continue
-                if common_witness([regions[i] for i in sorted(cand)]) is not None:
-                    simplices.add(cand)
-                    next_level.append(cand)
-        level = next_level
+    masks = set()
+    for p in _candidate_points(regions):
+        masks.add(sum(1 << i for i, r in enumerate(regions) if r.contains(p)))
+    masks.discard(0)
+    simplices = {frozenset((i,)) for i in range(len(regions))}
+    for m in masks:
+        if any(m & other == m for other in masks if other != m):
+            continue  # not maximal: its faces come with a larger mask
+        members = [i for i in range(len(regions)) if m >> i & 1]
+        for k in range(2, len(members) + 1):
+            simplices.update(frozenset(c) for c in combinations(members, k))
     return SimplicialComplex(
         vertex_labels=tuple(r.label for r in regions),
         simplices=frozenset(simplices),
     )
 
 
-def ribbon_nerve(rbx: RibbonComplex) -> Tuple[RibbonNerve, ...]:
-    """Maximal groups of ribbons with common intersection; singletons allowed."""
-    regions = [Region.from_ribbon(r) for r in rbx.ribbons]
-    sc = nerve(regions)
-    groups = sc.maximal_simplices()
+def _ribbon_groups(rbx: RibbonComplex, sc: SimplicialComplex) -> Tuple[RibbonNerve, ...]:
+    """The maximal simplices of ``sc``, the nerve of ``rbx``, as ribbon groups."""
     out = []
-    for g in groups:
+    for g in sc.maximal_simplices():
         members = tuple(rbx.ribbons[i] for i in g)
         out.append(
             RibbonNerve(members, label="+".join(m.label or f"r{i}" for i, m in zip(g, members)))
         )
     return tuple(out)
+
+
+def ribbon_nerve(rbx: RibbonComplex) -> Tuple[RibbonNerve, ...]:
+    """Maximal groups of ribbons with common intersection; singletons allowed."""
+    return _ribbon_groups(rbx, nerve([Region.from_ribbon(r) for r in rbx.ribbons]))

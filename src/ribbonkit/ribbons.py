@@ -314,15 +314,6 @@ class VortexNerve:
                 )
             self._filament_slot[fil] = slot
 
-    @property
-    def concentric_pairs(self) -> Tuple[int, ...]:
-        """Indices i where cycles i and i+1 share a centroid (metadata only)."""
-        return tuple(
-            i
-            for i in range(len(self.cycles) - 1)
-            if is_concentric(self.cycles[i], self.cycles[i + 1])
-        )
-
     def __repr__(self) -> str:
         return f"VortexNerve({self.label or len(self.cycles)})"
 

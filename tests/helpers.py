@@ -1,10 +1,12 @@
-"""Shared builders for randomized tests: rectangular annuli and families."""
+"""Shared builders for randomized tests: rectangular annuli and families,
+and the level-wise nerve enumerator kept as a reference."""
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 from ribbonkit.complexes import CellComplex
-from ribbonkit.geometry import Point2, point
-from ribbonkit.nerves import Region
+from ribbonkit.geometry import Point2, point, segment_intersection
+from ribbonkit.nerves import Region, SimplicialComplex
 from ribbonkit.ribbons import (
     Filament,
     Hole,
@@ -97,6 +99,86 @@ def random_rect_family(rng: Random, max_rects: int = 6):
         ]
         regions.append(Region(loops=(tuple(pts),), label=f"r{i}"))
     return regions
+
+
+def random_grid_rect_family(rng: Random, max_rects: int = 6, side: int = 4):
+    """Rectangles with integer corners in [0, side].
+
+    On so small a grid rectangles often share vertices, overlap along
+    collinear edges and touch along their boundaries.
+    """
+    regions = []
+    for i in range(rng.randint(1, max_rects)):
+        x0, x1 = sorted(rng.sample(range(side + 1), 2))
+        y0, y1 = sorted(rng.sample(range(side + 1), 2))
+        pts = (point(x0, y0), point(x1, y0), point(x1, y1), point(x0, y1))
+        regions.append(Region(loops=(pts,), label=f"g{i}"))
+    return regions
+
+
+def reference_witness(regions):
+    """First point, in candidate order, held by every region; or None.
+
+    The candidates are all boundary vertices, all pairwise boundary
+    crossings found by testing every segment pair, and the interior
+    samples, duplicates dropped.
+    """
+    seen = set()
+    candidates = []
+
+    def push(p):
+        if (p.x, p.y) not in seen:
+            seen.add((p.x, p.y))
+            candidates.append(p)
+
+    for r in regions:
+        for p in r.boundary_vertices():
+            push(p)
+    for i, r1 in enumerate(regions):
+        for r2 in regions[i + 1 :]:
+            for a, b in r1.boundary_segments():
+                for c, d in r2.boundary_segments():
+                    inter = segment_intersection(a, b, c, d)
+                    if inter is not None:
+                        for p in inter[1:]:
+                            push(p)
+    for r in regions:
+        for p in r.interior_samples():
+            push(p)
+    for p in candidates:
+        if all(r.contains(p) for r in regions):
+            return p
+    return None
+
+
+def reference_nerve(regions) -> SimplicialComplex:
+    """Level-wise nerve: a candidate simplex whose facets are all in is
+    kept iff its own regions have a common witness."""
+    n = len(regions)
+    simplices = {frozenset((i,)) for i in range(n)}
+    level = [frozenset((i,)) for i in range(n)]
+    while level:
+        next_level = []
+        seen = set()
+        for s in level:
+            for j in range(max(s) + 1, n):
+                cand = s | {j}
+                if cand in seen:
+                    continue
+                seen.add(cand)
+                if any(
+                    frozenset(f) not in simplices
+                    for f in combinations(sorted(cand), len(cand) - 1)
+                ):
+                    continue
+                if reference_witness([regions[i] for i in sorted(cand)]) is not None:
+                    simplices.add(cand)
+                    next_level.append(cand)
+        level = next_level
+    return SimplicialComplex(
+        vertex_labels=tuple(r.label for r in regions),
+        simplices=frozenset(simplices),
+    )
 
 
 def translate_ribbon(r: Ribbon, dx, dy) -> Ribbon:

@@ -195,6 +195,35 @@ def test_cli_divide_and_nerve(capsys):
     assert "{bottom,left,upper}" in out
 
 
+# Exact `ribbonkit nerve` stdout of every golden file holding ribbon complexes.
+NERVE_STDOUT = {
+    "five_ribbon_complex": (
+        "five groups: {bottom,left,upper} {right} {lower_right}\n"
+        "five simplices: {bottom} {bottom,left} {bottom,left,upper} {bottom,upper} {left} {left,upper} {lower_right} {right} {upper}\n"
+    ),
+    "nerve_space_pair": (
+        "left_group groups: {bottom,left,upper}\n"
+        "left_group simplices: {bottom} {bottom,left} {bottom,left,upper} {bottom,upper} {left} {left,upper} {upper}\n"
+        "right_group groups: {base,top}\n"
+        "right_group simplices: {base} {base,top} {top}\n"
+    ),
+    "proximity_demo": (
+        "pair groups: {lower,upper}\n"
+        "pair simplices: {lower} {lower,upper} {upper}\n"
+    ),
+    "shared_vertex_pair": (
+        "pair groups: {lower,upper}\n"
+        "pair simplices: {lower} {lower,upper} {upper}\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(NERVE_STDOUT))
+def test_cli_nerve_stdout_is_byte_exact(stem, capsys):
+    assert main(["nerve", str(GOLDEN / f"{stem}.rcx")]) == 0
+    assert capsys.readouterr().out == NERVE_STDOUT[stem]
+
+
 def test_serializer_requires_named_references():
     th = gallery.two_hole_ribbon()
     doc = ComplexDocument()

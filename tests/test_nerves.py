@@ -1,15 +1,23 @@
+from itertools import combinations
 from random import Random
 
 import pytest
 
-from helpers import add_rect_loop, random_rect_family
+from helpers import (
+    add_rect_loop,
+    random_grid_rect_family,
+    random_rect_family,
+    random_rect_ribbon,
+    reference_nerve,
+    reference_witness,
+)
 
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import CollectionTooLarge, EmptyCollection
 from ribbonkit.geometry import point
 from ribbonkit.nerves import Region, SimplicialComplex, common_witness, nerve, ribbon_nerve
-from ribbonkit.ribbons import make_filled_cycle
+from ribbonkit.ribbons import RibbonComplex, make_filled_cycle
 
 
 def _square_region(k, prefix, x0, y0, x1, y1):
@@ -102,8 +110,6 @@ def test_ribbon_own_cycles_form_an_edge_in_cycle_nerve():
 
 def test_ribbon_nerve_groups_for_gallery():
     th = gallery.two_hole_ribbon()
-    from ribbonkit.ribbons import RibbonComplex
-
     groups = ribbon_nerve(RibbonComplex((th.ribbon,), label="solo"))
     assert [[r.label for r in g.ribbons] for g in groups] == [["ring"]]
 
@@ -134,3 +140,61 @@ def test_maximal_simplices():
         ),
     )
     assert sc.maximal_simplices() == ((0, 1), (2,))
+
+
+def _oracle_families():
+    rng = Random(1123)
+    for _ in range(40):
+        yield random_rect_family(rng, max_rects=6)
+    for _ in range(15):
+        ribbons = [
+            random_rect_ribbon(rng, lo=0, hi=12, band=1, max_holes=0, max_filaments=0)
+            for _ in range(rng.randint(1, 4))
+        ]
+        yield [Region.from_ribbon(r) for r in ribbons]
+    for _ in range(50):
+        yield random_grid_rect_family(rng, max_rects=5, side=4)
+    th = gallery.two_hole_ribbon()
+    yield [Region.from_cycle(th.outer), Region.from_cycle(th.inner)]
+    pair = gallery.nerve_space_pair()
+    for rbx in (
+        gallery.shared_vertex_pair().rbx,
+        gallery.five_ribbon_complex().rbx,
+        pair.left.rbx,
+        pair.right.rbx,
+    ):
+        yield [Region.from_ribbon(r) for r in rbx.ribbons]
+
+
+def test_nerve_matches_level_wise_reference():
+    for regions in _oracle_families():
+        assert nerve(regions).simplices == reference_nerve(regions).simplices, regions
+        assert common_witness(regions) == reference_witness(regions), regions
+
+
+def _brute_force_maximal(sc):
+    maximal = [s for s in sc.simplices if not any(s < t for t in sc.simplices)]
+    return tuple(sorted(tuple(sorted(s)) for s in maximal))
+
+
+def test_maximal_simplices_match_definition_on_random_complexes():
+    rng = Random(77)
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        tops = [
+            frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 5))
+        ]
+        simplices = frozenset(
+            frozenset(c) for t in tops for k in range(1, len(t) + 1) for c in combinations(sorted(t), k)
+        )
+        sc = SimplicialComplex(tuple(f"v{i}" for i in range(n)), simplices)
+        assert sc.is_downward_closed()
+        assert sc.maximal_simplices() == _brute_force_maximal(sc)
+
+
+def test_maximal_simplices_of_twelve_nested_squares():
+    k = CellComplex("K")
+    regions = [_square_region(k, f"s{i}", i, i, 30 - i, 30 - i) for i in range(12)]
+    sc = nerve(regions)
+    assert len(sc.simplices) == 4095
+    assert sc.maximal_simplices() == (tuple(range(12)),)
