@@ -13,8 +13,8 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
-from .geometry import Point2, PointLocation, segment_point_distance_sq
-from .ribbons import Ribbon
+from .geometry import Point2, segment_point_distance_sq
+from .ribbons import Ribbon, RibbonMembership
 
 
 class RegionLabel(Enum):
@@ -67,17 +67,26 @@ def _require_frame(r: Ribbon, f: Frame) -> None:
             raise FrameTooSmall(f"frame does not strictly contain outer vertex {p}")
 
 
+_LABEL_OF = {
+    RibbonMembership.ON_INNER_BOUNDARY: RegionLabel.PI3_INNER,
+    RibbonMembership.IN_REMOVED_INTERIOR: RegionLabel.PI3_INNER,
+    RibbonMembership.ON_OUTER_BOUNDARY: RegionLabel.PI2_ANNULUS,
+    RibbonMembership.IN_RIBBON: RegionLabel.PI2_ANNULUS,
+    RibbonMembership.OUTSIDE: RegionLabel.PI1_OUTSIDE,
+}
+
+
+def _label(r: Ribbon, p: Point2) -> RegionLabel:
+    """The region label of ``p``, for a frame already checked to hold ``r``."""
+    return _LABEL_OF[r.membership(p)]
+
+
 def classify_region(r: Ribbon, f: Frame, p: Point2) -> RegionLabel:
     """Exactly one of the three region labels for a frame point."""
     _require_frame(r, f)
     if not f.contains(p):
         raise PointOutsideFrame(f"{p} lies outside the frame")
-    loc_inner = r.inner.locate(p)
-    if loc_inner is not PointLocation.OUTSIDE:
-        return RegionLabel.PI3_INNER
-    if r.outer.locate(p) is not PointLocation.OUTSIDE:
-        return RegionLabel.PI2_ANNULUS
-    return RegionLabel.PI1_OUTSIDE
+    return _label(r, p)
 
 
 @dataclass(frozen=True)
@@ -153,8 +162,8 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     _require_frame(r, f)
     samples = _sample_points(r, f, grid_density)
     labelled: Dict[RegionLabel, List[Point2]] = {lab: [] for lab in RegionLabel}
-    for p in samples:
-        labelled[classify_region(r, f, p)].append(p)
+    for p in samples:  # every sample lies in the frame
+        labelled[_label(r, p)].append(p)
     boundaries = _boundary_sets(r, f)
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
@@ -172,7 +181,7 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
         grid_density=grid_density,
         total_points=len(samples),
         label_counts=counts,
-        each_point_single_label=True,  # classify_region returns exactly one label
+        each_point_single_label=True,  # _label returns exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
         bounded=all(f.contains(p) for p in samples),
         witnesses=witnesses,

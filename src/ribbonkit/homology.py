@@ -7,10 +7,10 @@ finitely checkable here.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from math import lcm
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .division import Frame
 from .errors import (
@@ -25,7 +25,7 @@ from .geometry import (
     cross_value,
     segment_segment_distance_sq,
 )
-from .nerves import Region, SimplicialComplex, nerve
+from .nerves import Region, SimplicialComplex, _box, nerve
 
 
 @dataclass(frozen=True)
@@ -84,33 +84,123 @@ def z2_betti(sc: SimplicialComplex) -> Tuple[int, int]:
     return (b0, b1)
 
 
-@dataclass
+Run = Tuple[int, int]
+
+
+@dataclass(frozen=True)
 class Bitmap:
-    """Raster of set pixels over a frame; pixel (i, j) is column i, row j."""
+    """Raster of set pixels over a frame; pixel (i, j) is column i, row j.
+
+    ``rows[j]`` holds the set pixels of row ``j`` as sorted closed column
+    runs ``(first, last)``.  The runs are maximal: two runs of one row
+    leave at least one unset pixel between them.
+    """
 
     width: int
     height: int
     resolution: int
     frame: Frame
-    bits: Set[Tuple[int, int]]
+    rows: Tuple[Tuple[Run, ...], ...]
+
+    def __post_init__(self):
+        if len(self.rows) != self.height:
+            raise ValueError(f"bitmap has {len(self.rows)} rows, expected {self.height}")
+        for runs in self.rows:
+            end = -2
+            for a, b in runs:
+                if not end + 1 < a <= b < self.width:
+                    raise ValueError(f"row runs {runs} are not sorted, maximal and in range")
+                end = b
+
+    @property
+    def bits(self) -> FrozenSet[Tuple[int, int]]:
+        """The set pixels as ``(i, j)`` pairs, read-only."""
+        return frozenset(
+            (i, j) for j, runs in enumerate(self.rows) for a, b in runs for i in range(a, b + 1)
+        )
 
     def pixel_center(self, i: int, j: int) -> Point2:
-        return Point2(
-            self.frame.lo.x + Fraction(2 * i + 1, 2 * self.resolution),
-            self.frame.lo.y + Fraction(2 * j + 1, 2 * self.resolution),
-        )
+        return _center(self.frame, self.resolution, i, j)
+
+
+def _center(frame: Frame, resolution: int, i: int, j: int) -> Point2:
+    return Point2(
+        frame.lo.x + Fraction(2 * i + 1, 2 * resolution),
+        frame.lo.y + Fraction(2 * j + 1, 2 * resolution),
+    )
 
 
 def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _floor_fraction(x: Fraction) -> int:
-    return x.numerator // x.denominator
+def _half_pixel_key(num: int, unit: int) -> int:
+    """Position of ``num / unit`` among pixel centres, which sit at odd values.
+
+    The key is ``2i + 1`` when the value is the centre of pixel ``i``, and
+    ``2i`` when it lies strictly between the centres of pixels ``i - 1``
+    and ``i``.
+    """
+    q, rem = divmod(num, unit)
+    return q + 1 if rem and q & 1 else q
+
+
+def _row_keys(r: Region, frame: Frame, resolution: int) -> Dict[int, List[int]]:
+    """Where the boundary of ``r`` meets each row's centre line, as keys.
+
+    Coordinates are scaled once to integers, ``X = (x - lo.x) * s`` with
+    ``s = 2 * resolution * den`` and ``den`` the lcm of the denominators of
+    the region and the frame corner, so the centre of pixel column ``i``
+    is at ``X = (2i + 1) * den`` and that of row ``j`` at ``Y = (2j + 1) *
+    den``.  A segment crossing a centre line gives one key; a horizontal
+    segment on it gives the keys of both endpoints.
+    """
+    lo = frame.lo
+    pts = r.boundary_vertices()
+    den = lcm(lo.x.denominator, lo.y.denominator, *(c.denominator for p in pts for c in (p.x, p.y)))
+    s = 2 * resolution * den
+    keys: Dict[int, List[int]] = {}
+    for loop in r.loops + r.excluded:
+        scaled = [(int((p.x - lo.x) * s), int((p.y - lo.y) * s)) for p in loop]
+        for (x1, y1), (x2, y2) in zip(scaled, scaled[1:] + scaled[:1]):
+            if y1 == y2:
+                row = _half_pixel_key(y1, den)
+                if row & 1:
+                    keys.setdefault(row // 2, []).extend(
+                        (_half_pixel_key(x1, den), _half_pixel_key(x2, den))
+                    )
+                continue
+            if y1 > y2:
+                x1, y1, x2, y2 = x2, y2, x1, y1
+            dy, dx = y2 - y1, x2 - x1
+            for j in range(_half_pixel_key(y1, den) // 2, (_half_pixel_key(y2, den) - 1) // 2 + 1):
+                num = x1 * dy + ((2 * j + 1) * den - y1) * dx
+                keys.setdefault(j, []).append(_half_pixel_key(num, den * dy))
+    return keys
+
+
+def _merge_runs(runs: List[Run]) -> Tuple[Run, ...]:
+    """Sorted maximal runs covering the same pixels."""
+    out: List[Run] = []
+    for a, b in sorted(runs):
+        if out and a <= out[-1][1] + 1:
+            if b > out[-1][1]:
+                out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return tuple(out)
 
 
 def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitmap:
-    """Set a pixel iff its center lies in the closed union of the regions."""
+    """Set a pixel iff its center lies in the closed union of the regions.
+
+    Exact and per row: along a row's centre line, membership in a region
+    can change only where its boundary meets the line.  Between two
+    consecutive such events membership is constant, and one
+    :meth:`Region.contains` on the first pixel centre between them decides
+    it; a pixel centre exactly on an event is decided on its own.  Left of
+    the first event and right of the last the line is outside the region.
+    """
     if resolution < 4:
         raise ValueError(f"resolution must be at least 4 pixels per unit, got {resolution}")
     for r in regions:
@@ -119,47 +209,68 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
                 raise FrameTooSmall(f"region vertex {p} falls outside the frame")
     width = _ceil_fraction((frame.hi.x - frame.lo.x) * resolution)
     height = _ceil_fraction((frame.hi.y - frame.lo.y) * resolution)
-    bits: Set[Tuple[int, int]] = set()
+    # Every boundary lies in the frame, so every key is in [0, 2 * width]
+    # and every row in [0, height): the runs need no clipping.
+    row_runs: List[List[Run]] = [[] for _ in range(height)]
     for r in regions:
-        bx0, by0, bx1, by1 = r.bbox
-        i0 = max(0, _ceil_fraction((bx0 - frame.lo.x) * resolution - Fraction(1, 2)))
-        i1 = min(width - 1, _floor_fraction((bx1 - frame.lo.x) * resolution - Fraction(1, 2)))
-        j0 = max(0, _ceil_fraction((by0 - frame.lo.y) * resolution - Fraction(1, 2)))
-        j1 = min(height - 1, _floor_fraction((by1 - frame.lo.y) * resolution - Fraction(1, 2)))
-        for j in range(j0, j1 + 1):
-            cy = frame.lo.y + Fraction(2 * j + 1, 2 * resolution)
-            for i in range(i0, i1 + 1):
-                if (i, j) in bits:
-                    continue
-                cx = frame.lo.x + Fraction(2 * i + 1, 2 * resolution)
-                if r.contains(Point2(cx, cy)):
-                    bits.add((i, j))
-    return Bitmap(width=width, height=height, resolution=resolution, frame=frame, bits=bits)
+        for j, keys in _row_keys(r, frame, resolution).items():
+            runs = row_runs[j]
+            prev = None
+            for k in sorted(set(keys)):
+                if prev is not None:
+                    first, last = (prev + 1) // 2, (k - 2) // 2  # centres strictly between
+                    if first <= last and r.contains(_center(frame, resolution, first, j)):
+                        runs.append((first, last))
+                if k & 1 and r.contains(_center(frame, resolution, k // 2, j)):
+                    runs.append((k // 2, k // 2))
+                prev = k
+    rows = tuple(_merge_runs(runs) for runs in row_runs)
+    return Bitmap(width=width, height=height, resolution=resolution, frame=frame, rows=rows)
 
 
-_EIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
-_FOUR = ((1, 0), (-1, 0), (0, 1), (0, -1))
+def _gaps(runs: Sequence[Run], width: int) -> List[Run]:
+    """The runs of unset pixels of a row, given its set runs."""
+    out: List[Run] = []
+    start = 0
+    for a, b in runs:
+        if a > start:
+            out.append((start, a - 1))
+        start = b + 1
+    if start < width:
+        out.append((start, width - 1))
+    return out
 
 
-def _components(cells: Set[Tuple[int, int]], moves) -> List[Set[Tuple[int, int]]]:
-    seen: Set[Tuple[int, int]] = set()
-    comps = []
-    for start in cells:
-        if start in seen:
-            continue
-        comp = set()
-        queue = deque([start])
-        seen.add(start)
-        while queue:
-            i, j = queue.popleft()
-            comp.add((i, j))
-            for di, dj in moves:
-                nxt = (i + di, j + dj)
-                if nxt in cells and nxt not in seen:
-                    seen.add(nxt)
-                    queue.append(nxt)
-        comps.append(comp)
-    return comps
+def _run_roots(rows: Sequence[Sequence[Run]], slack: int) -> List[int]:
+    """Component of each run, numbered row by row, by union-find.
+
+    Runs of adjacent rows join when they overlap once widened by
+    ``slack``: 1 joins diagonal neighbours (8-way), 0 only vertical ones
+    (4-way).  Runs of one row are separated, so each pair of rows is one
+    merge-like sweep.
+    """
+    parent = list(range(sum(len(runs) for runs in rows)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    base = 0
+    for upper, lower in zip(rows, rows[1:]):
+        below = base + len(upper)
+        i = k = 0
+        while i < len(upper) and k < len(lower):
+            (a, b), (c, d) = upper[i], lower[k]
+            if c <= b + slack and a <= d + slack:
+                parent[find(base + i)] = find(below + k)
+            if b < d:
+                i += 1
+            else:
+                k += 1
+        base = below
+    return [find(x) for x in range(len(parent))]
 
 
 def cubical_betti(b: Bitmap) -> Tuple[int, int]:
@@ -167,23 +278,20 @@ def cubical_betti(b: Bitmap) -> Tuple[int, int]:
 
     Set pixels connect 8-ways, unset pixels 4-ways; the asymmetric pair
     avoids the checkerboard paradox.  A hole is an unset component that
-    never touches the bitmap border.
+    never touches the bitmap border.  Both counts come from one
+    union-find over the row runs of set and of unset pixels.
     """
-    comps = _components(b.bits, _EIGHT)
-    unset = {
-        (i, j)
-        for i in range(b.width)
-        for j in range(b.height)
-        if (i, j) not in b.bits
-    }
-    holes = 0
-    for comp in _components(unset, _FOUR):
-        touches = any(
-            i == 0 or j == 0 or i == b.width - 1 or j == b.height - 1 for i, j in comp
-        )
-        if not touches:
-            holes += 1
-    return (len(comps), holes)
+    components = len(set(_run_roots(b.rows, 1)))
+    gaps = [_gaps(runs, b.width) for runs in b.rows]
+    roots = _run_roots(gaps, 0)
+    border = set()
+    x = 0
+    for j, runs in enumerate(gaps):
+        for first, last in runs:
+            if j == 0 or j == b.height - 1 or first == 0 or last == b.width - 1:
+                border.add(roots[x])
+            x += 1
+    return (components, len(set(roots) - border))
 
 
 def is_convex_loop(points: Sequence[Point2]) -> bool:
@@ -201,16 +309,32 @@ def is_convex_loop(points: Sequence[Point2]) -> bool:
     return len(signs) == 1
 
 
+def _box_gap_sq(a, b) -> Fraction:
+    """Squared distance between the closed boxes ``(xmin, ymin, xmax, ymax)``."""
+    dx = max(a[0] - b[2], b[0] - a[2], 0)
+    dy = max(a[1] - b[3], b[1] - a[3], 0)
+    return dx * dx + dy * dy
+
+
 def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     """Exact minimum squared distance between boundaries of distinct regions.
 
-    Zero when two boundaries meet; None for fewer than two regions.
+    Zero when two boundaries meet; None for fewer than two regions.  A
+    region pair or segment pair whose bounding boxes are at least the best
+    distance so far apart is skipped: the box gap bounds its distance from
+    below, so the minimum is the one of the full double loop.
     """
     best: Optional[Fraction] = None
-    for i, r1 in enumerate(regions):
-        for r2 in regions[i + 1 :]:
-            for a, b in r1.boundary_segments():
-                for c, d in r2.boundary_segments():
+    boxes = [_box(r.boundary_vertices()) for r in regions]
+    segments = [[(a, b, _box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    for i, segs1 in enumerate(segments):
+        for j in range(i + 1, len(regions)):
+            if best is not None and _box_gap_sq(boxes[i], boxes[j]) >= best:
+                continue
+            for a, b, box1 in segs1:
+                for c, d, box2 in segments[j]:
+                    if best is not None and _box_gap_sq(box1, box2) >= best:
+                        continue
                     dist = segment_segment_distance_sq(a, b, c, d)
                     if best is None or dist < best:
                         best = dist

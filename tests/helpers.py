@@ -1,11 +1,21 @@
 """Shared builders for randomized tests: rectangular annuli and families,
-and the level-wise nerve enumerator kept as a reference."""
+and the implementations replaced by faster ones, kept as references: the
+level-wise nerve enumerator, the per-pixel raster with its breadth-first
+counts, and the unpruned clearance loop."""
+from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
 from ribbonkit.complexes import CellComplex
-from ribbonkit.geometry import Point2, point, segment_intersection
+from ribbonkit.errors import FrameTooSmall
+from ribbonkit.geometry import (
+    Point2,
+    point,
+    segment_intersection,
+    segment_segment_distance_sq,
+)
+from ribbonkit.homology import Bitmap
 from ribbonkit.nerves import Region, SimplicialComplex
 from ribbonkit.ribbons import (
     Filament,
@@ -222,3 +232,113 @@ def rotate_ribbon(r: Ribbon, cos_a, sin_a) -> Ribbon:
         fixed_vertex=r.fixed_vertex,
         allow_concentric=True,
     )
+
+
+def bitmap_from_bits(width, height, resolution, frame, bits) -> Bitmap:
+    """The bitmap whose set pixels are ``bits``, as maximal row runs."""
+    rows = []
+    for j in range(height):
+        runs = []
+        for i in sorted(i for i, jj in bits if jj == j):
+            if runs and runs[-1][1] == i - 1:
+                runs[-1][1] = i
+            else:
+                runs.append([i, i])
+        rows.append(tuple(tuple(run) for run in runs))
+    return Bitmap(width=width, height=height, resolution=resolution, frame=frame, rows=tuple(rows))
+
+
+def _ceil_fraction(x: Fraction) -> int:
+    return -((-x.numerator) // x.denominator)
+
+
+def _floor_fraction(x: Fraction) -> int:
+    return x.numerator // x.denominator
+
+
+def reference_rasterize(regions, frame, resolution) -> Bitmap:
+    """One exact point-in-region test per pixel centre in each region's box."""
+    if resolution < 4:
+        raise ValueError(f"resolution must be at least 4 pixels per unit, got {resolution}")
+    for r in regions:
+        for p in r.boundary_vertices():
+            if not frame.contains(p):
+                raise FrameTooSmall(f"region vertex {p} falls outside the frame")
+    width = _ceil_fraction((frame.hi.x - frame.lo.x) * resolution)
+    height = _ceil_fraction((frame.hi.y - frame.lo.y) * resolution)
+    bits = set()
+    for r in regions:
+        bx0, by0, bx1, by1 = r.bbox
+        i0 = max(0, _ceil_fraction((bx0 - frame.lo.x) * resolution - Fraction(1, 2)))
+        i1 = min(width - 1, _floor_fraction((bx1 - frame.lo.x) * resolution - Fraction(1, 2)))
+        j0 = max(0, _ceil_fraction((by0 - frame.lo.y) * resolution - Fraction(1, 2)))
+        j1 = min(height - 1, _floor_fraction((by1 - frame.lo.y) * resolution - Fraction(1, 2)))
+        for j in range(j0, j1 + 1):
+            cy = frame.lo.y + Fraction(2 * j + 1, 2 * resolution)
+            for i in range(i0, i1 + 1):
+                if (i, j) in bits:
+                    continue
+                cx = frame.lo.x + Fraction(2 * i + 1, 2 * resolution)
+                if r.contains(Point2(cx, cy)):
+                    bits.add((i, j))
+    return bitmap_from_bits(width, height, resolution, frame, bits)
+
+
+_EIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_FOUR = ((1, 0), (-1, 0), (0, 1), (0, -1))
+
+
+def _components(cells, moves):
+    seen = set()
+    comps = []
+    for start in cells:
+        if start in seen:
+            continue
+        comp = set()
+        queue = deque([start])
+        seen.add(start)
+        while queue:
+            i, j = queue.popleft()
+            comp.add((i, j))
+            for di, dj in moves:
+                nxt = (i + di, j + dj)
+                if nxt in cells and nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+        comps.append(comp)
+    return comps
+
+
+def reference_cubical_betti(b: Bitmap):
+    """(components, bounded holes) by breadth-first search over pixels:
+    set pixels 8-way, unset pixels 4-way, holes off the border."""
+    bits = b.bits
+    comps = _components(bits, _EIGHT)
+    unset = {
+        (i, j)
+        for i in range(b.width)
+        for j in range(b.height)
+        if (i, j) not in bits
+    }
+    holes = 0
+    for comp in _components(unset, _FOUR):
+        touches = any(
+            i == 0 or j == 0 or i == b.width - 1 or j == b.height - 1 for i, j in comp
+        )
+        if not touches:
+            holes += 1
+    return (len(comps), holes)
+
+
+def reference_clearance_sq(regions):
+    """Minimum squared boundary distance over every segment pair of every
+    region pair, with no pruning; None for fewer than two regions."""
+    best = None
+    for i, r1 in enumerate(regions):
+        for r2 in regions[i + 1 :]:
+            for a, b in r1.boundary_segments():
+                for c, d in r2.boundary_segments():
+                    dist = segment_segment_distance_sq(a, b, c, d)
+                    if best is None or dist < best:
+                        best = dist
+    return best

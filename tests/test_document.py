@@ -224,6 +224,34 @@ def test_cli_nerve_stdout_is_byte_exact(stem, capsys):
     assert capsys.readouterr().out == NERVE_STDOUT[stem]
 
 
+# Exact `ribbonkit nervecheck` outcome of every golden file, at two
+# resolutions.  Each golden file holds a non-convex cycle (a ribbon's inner
+# loop), so the check stops there: exit 4, nothing on stdout.
+NERVECHECK_NONCONVEX = {
+    "filament_ribbon": "inner",
+    "five_ribbon_complex": "bottom_inner",
+    "nerve_space_pair": "base_inner",
+    "proximity_demo": "inner",
+    "shared_vertex_pair": "lower_inner",
+    "triple_vortex": "inner",
+    "two_hole_ribbon": "inner",
+}
+
+
+@pytest.mark.parametrize("resolution", (16, 32))
+@pytest.mark.parametrize("stem", sorted(NERVECHECK_NONCONVEX))
+def test_cli_nervecheck_stdout_is_byte_exact(stem, resolution, capsys):
+    path = str(GOLDEN / f"{stem}.rcx")
+    assert main(["nervecheck", path, "--resolution", str(resolution)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    name = NERVECHECK_NONCONVEX[stem]
+    assert captured.err == (
+        '{"error": "NonConvexRegion", "message": '
+        f'"region {name} is not a closed convex polygon"}}\n'
+    )
+
+
 def test_serializer_requires_named_references():
     th = gallery.two_hole_ribbon()
     doc = ComplexDocument()

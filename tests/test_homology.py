@@ -3,7 +3,14 @@ from random import Random
 
 import pytest
 
-from helpers import random_rect_family
+from helpers import (
+    bitmap_from_bits,
+    random_grid_rect_family,
+    random_rect_family,
+    reference_clearance_sq,
+    reference_cubical_betti,
+    reference_rasterize,
+)
 
 from ribbonkit.division import Frame
 from ribbonkit.errors import (
@@ -13,8 +20,9 @@ from ribbonkit.errors import (
     NonConvexRegion,
     NotDownwardClosed,
 )
-from ribbonkit.geometry import point
+from ribbonkit.geometry import Point2, cross_value, point, simple_polygon
 from ribbonkit.homology import (
+    Bitmap,
     _gf2_rank,
     boundary_matrix,
     cubical_betti,
@@ -219,3 +227,196 @@ def test_resolution_stability_for_clear_families():
         b32 = nerve_theorem_check(regions, frame, 32)
         assert b16.union_betti == b32.union_betti
         checked += 1
+
+
+def _on_grid(rng, lo, hi, resolution):
+    """A rational in [lo, hi] on the half-pixel grid; odd steps are pixel centres."""
+    return Fraction(rng.randint(lo * 2 * resolution, hi * 2 * resolution), 2 * resolution)
+
+
+def _pseudo_angle(x, y):
+    """Exact stand-in for the angle of (x, y) != (0, 0): increasing, in [0, 4)."""
+    t = Fraction(x, abs(x) + abs(y))
+    return 1 - t if y > 0 or (y == 0 and x > 0) else 3 + t
+
+
+def _random_polygon(rng, resolution, n):
+    """A simple polygon on the half-pixel grid of [0, 4], its vertices in
+    angle order around their centroid; None when that order is not simple."""
+    pts = {(_on_grid(rng, 0, 4, resolution), _on_grid(rng, 0, 4, resolution)) for _ in range(n)}
+    cx = sum(x for x, _ in pts) / len(pts)
+    cy = sum(y for _, y in pts) / len(pts)
+    pts.discard((cx, cy))
+    loop = tuple(
+        Point2(x, y) for x, y in sorted(pts, key=lambda p: _pseudo_angle(p[0] - cx, p[1] - cy))
+    )
+    if len(loop) < 3 or not simple_polygon(loop):
+        return None
+    return loop
+
+
+def _rect(x0, y0, x1, y1):
+    return (Point2(x0, y0), Point2(x1, y0), Point2(x1, y1), Point2(x0, y1))
+
+
+def _raster_cases():
+    """Seeded families for the raster oracle, tagged by kind."""
+    rng = Random(3031)
+    for _ in range(8):
+        yield "quarter_rects", random_rect_family(rng, max_rects=5), _frame("-1/2", "-1/2", "35/4", "35/4"), 4
+    for _ in range(12):
+        # integer grid: shared vertices, collinear overlaps, touching edges
+        yield "grid_rects", random_grid_rect_family(rng), _frame("-1/3", "-1/2", 5, 5), rng.choice((4, 5, 6))
+    for _ in range(25):
+        res = rng.choice((4, 5, 8))
+        regions = []
+        for k in range(rng.randint(1, 3)):
+            loop = _random_polygon(rng, res, rng.randint(3, 7))
+            if loop is not None:
+                regions.append(Region(loops=(loop,), label=f"p{k}"))
+        yield "polygons", regions, _frame(-1, -1, 5, 5), res
+    for _ in range(15):
+        # rectangles and annuli with edges on pixel-centre rows and columns
+        res = rng.choice((4, 6, 8))
+        regions = []
+        for k in range(rng.randint(1, 3)):
+            x0, x1 = sorted(rng.sample(range(0, 8 * res + 1), 2))
+            y0, y1 = sorted(rng.sample(range(0, 8 * res + 1), 2))
+            outer = _rect(*(Fraction(v, 2 * res) for v in (x0, y0, x1, y1)))
+            excluded = ()
+            if x1 - x0 > 4 and y1 - y0 > 4 and rng.random() < 0.7:
+                a, b = sorted(rng.sample(range(x0 + 1, x1), 2))
+                c, d = sorted(rng.sample(range(y0 + 1, y1), 2))
+                if rng.random() < 0.5:
+                    inner = _rect(*(Fraction(v, 2 * res) for v in (a, c, b, d)))
+                else:
+                    inner = tuple(Point2(Fraction(x, 2 * res), Fraction(y, 2 * res)) for x, y in ((a, c), (b, c), (a, d)))
+                excluded = (inner,)
+            regions.append(Region(loops=(outer,), excluded=excluded, label=f"a{k}"))
+        yield "annuli", regions, _frame(0, 0, 4, 4), res
+    for _ in range(10):
+        # triangles with every vertex on a pixel centre
+        res = rng.choice((4, 5))
+        regions = []
+        for k in range(rng.randint(1, 3)):
+            loop = tuple(
+                Point2(Fraction(2 * rng.randint(0, 4 * res - 1) + 1, 2 * res),
+                       Fraction(2 * rng.randint(0, 4 * res - 1) + 1, 2 * res))
+                for _ in range(3)
+            )
+            if cross_value(*loop) != 0:
+                regions.append(Region(loops=(loop,), label=f"t{k}"))
+        yield "centre_triangles", regions, _frame(0, 0, 4, 4), res
+    # degenerate flat loops: a horizontal one on a centre row has no other
+    # edge to report where it starts and ends; a diagonal one through centres
+    flat = Fraction(5, 8)
+    yield "flat_loops", [
+        Region(loops=((Point2(Fraction(1, 4), flat), Point2(Fraction(9, 8), flat), Point2(3, flat)),)),
+        Region(loops=(tuple(Point2(Fraction(k, 8), Fraction(k, 8)) for k in (1, 7, 15)),)),
+    ], _frame(0, 0, 4, 4), 4
+    gap = Fraction(1, 100)
+    near_pair = [
+        Region(loops=(_rect(0, 0, 1, 1),), label="a"),
+        Region(loops=(_rect(1 + gap, 0, 2 + gap, 1),), label="b"),
+    ]
+    for res in (4, 16, 32):
+        yield "near_pair", near_pair, _frame(-1, -1, 4, 2), res
+
+
+def test_rasterize_matches_per_pixel_reference():
+    kinds = set()
+    for kind, regions, frame, res in _raster_cases():
+        got = rasterize(regions, frame, res)
+        want = reference_rasterize(regions, frame, res)
+        assert (got.width, got.height) == (want.width, want.height)
+        assert got.bits == want.bits, (kind, regions, res)
+        assert got.rows == want.rows
+        assert cubical_betti(got) == reference_cubical_betti(want), (kind, regions, res)
+        kinds.add(kind)
+    assert len(kinds) == 7
+
+
+def _random_bitmaps():
+    rng = Random(4041)
+    frame = _frame(0, 0, 4, 4)
+    for _ in range(150):
+        w, h = rng.randint(1, 12), rng.randint(1, 12)
+        density = rng.choice((0.2, 0.45, 0.6, 0.85))
+        bits = {(i, j) for i in range(w) for j in range(h) if rng.random() < density}
+        yield bitmap_from_bits(w, h, 4, frame, bits)
+    for w, h in ((1, 1), (1, 7), (7, 1), (6, 6), (7, 5)):
+        cells = [(i, j) for i in range(w) for j in range(h)]
+        yield bitmap_from_bits(w, h, 4, frame, set())
+        yield bitmap_from_bits(w, h, 4, frame, set(cells))
+        # checkerboards of both phases
+        yield bitmap_from_bits(w, h, 4, frame, {(i, j) for i, j in cells if (i + j) % 2 == 0})
+        yield bitmap_from_bits(w, h, 4, frame, {(i, j) for i, j in cells if (i + j) % 2 == 1})
+    # diagonal-only links: one 8-way component, its 4-way complement not split
+    yield bitmap_from_bits(8, 8, 4, frame, {(k, k) for k in range(8)})
+    yield bitmap_from_bits(8, 8, 4, frame, {(k, 7 - k) for k in range(8)} | {(k, k) for k in range(8)})
+    # one-pixel holes, alone and in a row of rings
+    ring = {(i, j) for i in range(3) for j in range(3)} - {(1, 1)}
+    yield bitmap_from_bits(5, 5, 4, frame, {(i + 1, j + 1) for i, j in ring})
+    yield bitmap_from_bits(9, 3, 4, frame, {(i + 3 * k, j) for i, j in ring for k in range(3)})
+    # a diamond of diagonal links encloses a 4-way hole
+    yield bitmap_from_bits(5, 5, 4, frame, {(2, 0), (1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3), (2, 4)})
+    # set pixels on the border that cut the background apart
+    yield bitmap_from_bits(7, 5, 4, frame, {(3, j) for j in range(5)})
+    yield bitmap_from_bits(7, 5, 4, frame, {(i, 2) for i in range(7)} | {(3, j) for j in range(5)})
+    yield bitmap_from_bits(6, 6, 4, frame, {(i, j) for i in range(6) for j in range(6) if i in (0, 5) or j in (0, 5)})
+    yield bitmap_from_bits(6, 6, 4, frame, {(i, j) for i in range(1, 6) for j in range(6) if i in (1, 5) or j in (0, 5)})
+
+
+def test_cubical_betti_matches_breadth_first_reference():
+    for bmp in _random_bitmaps():
+        assert cubical_betti(bmp) == reference_cubical_betti(bmp), sorted(bmp.bits)
+
+
+def test_cubical_betti_hand_cases():
+    frame = _frame(0, 0, 4, 4)
+    ring = {(i, j) for i in range(1, 4) for j in range(1, 4)} - {(2, 2)}
+    assert cubical_betti(bitmap_from_bits(5, 5, 4, frame, ring)) == (1, 1)
+    board = {(i, j) for i in range(4) for j in range(4) if (i + j) % 2 == 0}
+    # diagonal links join the set pixels; the two inner unset pixels are
+    # 4-way isolated from each other and from the border
+    assert cubical_betti(bitmap_from_bits(4, 4, 4, frame, board)) == (1, 2)
+    diamond = {(2, 0), (1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3), (2, 4)}
+    assert cubical_betti(bitmap_from_bits(5, 5, 4, frame, diamond)) == (1, 1)
+
+
+def test_bitmap_rejects_runs_that_are_not_maximal():
+    frame = _frame(0, 0, 4, 4)
+    for rows in (
+        (((0, 1), (2, 3)),),  # adjacent runs
+        (((2, 3), (0, 0)),),  # unsorted
+        (((0, 4),),),  # past the last column
+        (((1, 0),),),  # empty run
+    ):
+        with pytest.raises(ValueError):
+            Bitmap(width=4, height=1, resolution=4, frame=frame, rows=rows)
+    with pytest.raises(ValueError):
+        Bitmap(width=4, height=2, resolution=4, frame=frame, rows=((),))
+
+
+def test_clearance_matches_unpruned_reference():
+    rng = Random(6061)
+    families = []
+    for _ in range(30):
+        families.append(random_rect_family(rng))
+        families.append(random_grid_rect_family(rng, side=8))
+    for _ in range(20):
+        regions = []
+        for k in range(rng.randint(2, 4)):
+            loop = _random_polygon(rng, 4, rng.randint(3, 6))
+            if loop is not None:
+                x, y = rng.randint(-6, 6), rng.randint(-6, 6)
+                regions.append(Region(loops=(tuple(Point2(p.x + x, p.y + y) for p in loop),)))
+        families.append(regions)
+    gap = Fraction(1, 100)
+    families.append([Region(loops=(_rect(0, 0, 1, 1),)), Region(loops=(_rect(1 + gap, 0, 2 + gap, 1),))])
+    positive = 0
+    for regions in families:
+        got = min_boundary_clearance_sq(regions)
+        assert got == reference_clearance_sq(regions), regions
+        positive += bool(got)
+    assert positive > 20  # the pruning is exercised, not only the early return on 0
