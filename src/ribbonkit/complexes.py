@@ -11,12 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateCell, UnknownCellId
 from .geometry import (
     Orientation,
     Point2,
+    bounding_box,
+    boxes_meet,
     cross_value,
     on_segment,
     orientation,
@@ -141,16 +144,6 @@ class ValidityReport:
         return out
 
 
-def _bbox(pts: Sequence[Point2]):
-    xs = [p.x for p in pts]
-    ys = [p.y for p in pts]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def _bbox_overlap(b1, b2) -> bool:
-    return not (b1[2] < b2[0] or b2[2] < b1[0] or b1[3] < b2[1] or b2[3] < b1[1])
-
-
 def _ccw(pts: Sequence[Point2]) -> List[Point2]:
     pts = list(pts)
     if polygon_area2(pts) < 0:
@@ -167,10 +160,15 @@ def _point_in_convex(p: Point2, poly: Sequence[Point2]) -> bool:
     return True
 
 
-def _line_hit(prev: Point2, cur: Point2, va: Fraction, vb: Fraction) -> Point2:
-    """Point where segment prev-cur crosses the clip line (va, vb straddle 0)."""
-    t = va / (va - vb)
-    return Point2(prev.x + t * (cur.x - prev.x), prev.y + t * (cur.y - prev.y))
+def _interpolate(p: Point2, q: Point2, num, den) -> Point2:
+    """The point ``p + (num / den) * (q - p)``, exactly; ``p`` or ``q``
+    itself at the ends, so integer endpoints stay integers."""
+    if num == 0:
+        return p
+    if num == den:
+        return q
+    t = Fraction(num, den)
+    return Point2(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
 
 
 def convex_clip(subject: Sequence[Point2], clip: Sequence[Point2]) -> List[Point2]:
@@ -190,10 +188,10 @@ def convex_clip(subject: Sequence[Point2], clip: Sequence[Point2]) -> List[Point
             cur_side = cross_value(a, b, cur)
             if cur_side >= 0:
                 if prev_side < 0:
-                    output.append(_line_hit(prev, cur, prev_side, cur_side))
+                    output.append(_interpolate(prev, cur, prev_side, prev_side - cur_side))
                 output.append(cur)
             elif prev_side >= 0:
-                output.append(_line_hit(prev, cur, prev_side, cur_side))
+                output.append(_interpolate(prev, cur, prev_side, prev_side - cur_side))
             prev, prev_side = cur, cur_side
     dedup: List[Point2] = []
     for p in output:
@@ -224,8 +222,12 @@ def _classify_poly(points: List[Point2]):
 
 
 def _clip_segment_to_triangle(a: Point2, b: Point2, tri: Sequence[Point2]):
-    """Intersection of closed segment ab with a CCW triangle, parametrically."""
-    t0, t1 = Fraction(0), Fraction(1)
+    """Intersection of closed segment ab with a CCW triangle, parametrically.
+
+    The parameters ``n0/d0 <= n1/d1`` of the clipped piece keep positive
+    denominators and are compared by cross-multiplication.
+    """
+    n0, d0, n1, d1 = 0, 1, 1, 1
     n = len(tri)
     for i in range(n):
         e1, e2 = tri[i], tri[(i + 1) % n]
@@ -236,18 +238,15 @@ def _clip_segment_to_triangle(a: Point2, b: Point2, tri: Sequence[Point2]):
             if va < 0:
                 return None
             continue
-        t_hit = -va / dv
+        # the segment crosses the edge line at t = -va / dv
         if dv > 0:
-            if t_hit > t0:
-                t0 = t_hit
-        else:
-            if t_hit < t1:
-                t1 = t_hit
-        if t0 > t1:
+            if -va * d0 > n0 * dv:
+                n0, d0 = -va, dv
+        elif va * d1 < -n1 * dv:
+            n1, d1 = va, -dv
+        if n0 * d1 > n1 * d0:
             return None
-    def at(t: Fraction) -> Point2:
-        return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
-    p0, p1 = at(t0), at(t1)
+    p0, p1 = _interpolate(a, b, n0, d0), _interpolate(a, b, n1, d1)
     if p0 == p1:
         return ("point", p0)
     key = lambda q: (q.x, q.y)
@@ -255,16 +254,21 @@ def _clip_segment_to_triangle(a: Point2, b: Point2, tri: Sequence[Point2]):
     return ("seg", lo, hi)
 
 
-def _realize(k: CellComplex, cid: str):
-    pts = k.cell_points(cid)
-    if pts is None:
+def _realize(cell: Cell, coords: Dict[str, Point2]):
+    """The point, segment or CCW triangle of ``cell`` at ``coords``, or None
+    if a vertex has no coordinates."""
+    pts = [coords.get(vid) for vid in cell.vertex_ids]
+    if any(p is None for p in pts):
         return None
-    kind = k.cells[cid].kind
-    if kind is CellKind.VERTEX:
+    if cell.kind is CellKind.VERTEX:
         return ("point", pts[0])
-    if kind is CellKind.EDGE:
+    if cell.kind is CellKind.EDGE:
         return ("seg", pts[0], pts[1])
     return ("tri", _ccw(pts))
+
+
+def _realized_box(r):
+    return bounding_box(r[1]) if r[0] == "tri" else bounding_box(r[1:])
 
 
 def _pair_intersection(r1, r2):
@@ -295,48 +299,102 @@ def _pair_intersection(r1, r2):
     return _classify_poly(clipped)
 
 
-def _segment_param(p: Point2, a: Point2, b: Point2) -> Fraction:
-    if b.x != a.x:
-        return (p.x - a.x) / (b.x - a.x)
-    return (p.y - a.y) / (b.y - a.y)
+def _containment_violations(k: CellComplex) -> List[str]:
+    out: List[str] = []
+    for cid, cell in sorted(k.cells.items()):
+        if cell.kind is CellKind.VERTEX:
+            if cell.vertex_ids[0] not in k.vertices:
+                out.append(f"vertex cell {cid!r} has no coordinates")
+        elif cell.kind is CellKind.EDGE:
+            for vid in cell.vertex_ids:
+                if vid not in k.vertices:
+                    out.append(f"edge {cid!r} is missing vertex {vid!r}")
+        else:
+            for vid in cell.vertex_ids:
+                if vid not in k.vertices:
+                    out.append(f"triangle {cid!r} is missing vertex {vid!r}")
+            a, b, c = cell.vertex_ids
+            for u, v in ((a, b), (b, c), (a, c)):
+                if k.edge_between(u, v) is None:
+                    out.append(f"triangle {cid!r} is missing edge {u!r}-{v!r}")
+    return out
 
 
-def _segment_covered_by_edges(k: CellComplex, lo: Point2, hi: Point2) -> bool:
-    """True iff edge cells of ``k`` tile the whole closed segment lo-hi."""
-    intervals = []
-    for cid, cell in k.cells.items():
-        if cell.kind is not CellKind.EDGE:
+def _integer_coords(k: CellComplex) -> Tuple[int, Dict[str, Point2]]:
+    """The lcm ``L`` of all coordinate denominators, and every vertex of
+    ``k`` multiplied by ``L``, with ``int`` coordinates."""
+    scale = 1
+    for p in k.vertices.values():
+        scale = lcm(scale, p.x.denominator, p.y.denominator)
+    coords = {
+        vid: Point2(
+            p.x.numerator * (scale // p.x.denominator),
+            p.y.numerator * (scale // p.y.denominator),
+        )
+        for vid, p in k.vertices.items()
+    }
+    return scale, coords
+
+
+def _line_key(p: Point2, q: Point2) -> Tuple[int, int, int]:
+    """Integer line ``a*x + b*y + c = 0`` through the distinct points ``p``
+    and ``q``, divided by the gcd, with the first nonzero of ``a``, ``b``
+    positive: collinear segments get equal keys."""
+    a, b, c = q.y - p.y, p.x - q.x, q.x * p.y - p.x * q.y
+    m = lcm(a.denominator, b.denominator, c.denominator)
+    a = a.numerator * (m // a.denominator)
+    b = b.numerator * (m // b.denominator)
+    c = c.numerator * (m // c.denominator)
+    g = gcd(a, b, c)
+    if a < 0 or (a == 0 and b < 0):
+        g = -g
+    return (a // g, b // g, c // g)
+
+
+def _along(key: Tuple[int, int, int], p: Point2):
+    """Coordinate of ``p`` that runs along the line ``key``: x unless the
+    line is vertical."""
+    return p.x if key[1] else p.y
+
+
+def _edge_lines(cells) -> Dict[Tuple[int, int, int], List[tuple]]:
+    """Non-degenerate edges grouped by carrier line, each as its sorted
+    extent along the line."""
+    lines: Dict[Tuple[int, int, int], List[tuple]] = {}
+    for r in cells:
+        if r[0] != "seg" or r[1] == r[2]:
             continue
-        pts = k.cell_points(cid)
-        if pts is None:
+        key = _line_key(r[1], r[2])
+        s, t = _along(key, r[1]), _along(key, r[2])
+        lines.setdefault(key, []).append((min(s, t), max(s, t)))
+    for extents in lines.values():
+        extents.sort()
+    return lines
+
+
+def _segment_covered_by_edges(lines, lo: Point2, hi: Point2) -> bool:
+    """True iff edges tile the whole closed segment lo-hi (lo before hi in
+    lexicographic order).  An edge with both endpoints on the segment lies
+    on its line, so only that line's edges are read."""
+    key = _line_key(lo, hi)
+    start, stop = _along(key, lo), _along(key, hi)
+    cursor = start
+    for s, t in lines.get(key, ()):
+        if s < start or t > stop:
             continue
-        s, t = pts
-        if on_segment(s, lo, hi) and on_segment(t, lo, hi):
-            ps, pt = _segment_param(s, lo, hi), _segment_param(t, lo, hi)
-            intervals.append((min(ps, pt), max(ps, pt)))
-    intervals.sort()
-    cursor = Fraction(0)
-    for s, t in intervals:
         if s > cursor:
             return False
         if t > cursor:
             cursor = t
-    return cursor >= 1
+    return cursor >= stop
 
 
-def _region_covered_by_triangles(k: CellComplex, poly: List[Point2]) -> bool:
-    """True iff triangle cells with disjoint interiors tile the convex ``poly``."""
+def _region_covered_by_triangles(poly: List[Point2], triangles) -> bool:
+    """True iff those of ``triangles`` (CCW) lying in the convex ``poly``
+    have disjoint interiors and tile it."""
     target = abs(polygon_area2(poly))
     ccw_poly = _ccw(poly)
-    contained = []
-    for cid, cell in k.cells.items():
-        if cell.kind is not CellKind.TRIANGLE:
-            continue
-        pts = k.cell_points(cid)
-        if pts is None:
-            continue
-        if all(_point_in_convex(p, ccw_poly) for p in pts):
-            contained.append(_ccw(pts))
+    contained = [t for t in triangles if all(_point_in_convex(p, ccw_poly) for p in t)]
     total = Fraction(0)
     for i, t1 in enumerate(contained):
         total += abs(polygon_area2(t1))
@@ -347,65 +405,95 @@ def _region_covered_by_triangles(k: CellComplex, poly: List[Point2]) -> bool:
     return total == target
 
 
-def validate_cw(k: CellComplex) -> ValidityReport:
-    """Check the containment and intersection conditions; violations are data."""
-    containment: List[str] = []
-    for cid, cell in sorted(k.cells.items()):
-        if cell.kind is CellKind.VERTEX:
-            if cell.vertex_ids[0] not in k.vertices:
-                containment.append(f"vertex cell {cid!r} has no coordinates")
-        elif cell.kind is CellKind.EDGE:
-            for vid in cell.vertex_ids:
-                if vid not in k.vertices:
-                    containment.append(f"edge {cid!r} is missing vertex {vid!r}")
-        else:
-            for vid in cell.vertex_ids:
-                if vid not in k.vertices:
-                    containment.append(f"triangle {cid!r} is missing vertex {vid!r}")
-            a, b, c = cell.vertex_ids
-            for u, v in ((a, b), (b, c), (a, c)):
-                if k.edge_between(u, v) is None:
-                    containment.append(f"triangle {cid!r} is missing edge {u!r}-{v!r}")
+class _Buckets:
+    """Uniform grid of about sqrt(n) x sqrt(n) buckets over n integer boxes.
 
-    intersection: List[str] = []
+    A closed box goes into every bucket its extent reaches, so two boxes
+    that meet, even in one boundary point, share a bucket.
+    """
+
+    def __init__(self, boxes):
+        side = max(1, isqrt(len(boxes)))
+        self.x0 = min((b[0] for b in boxes), default=0)
+        self.y0 = min((b[1] for b in boxes), default=0)
+        self.wx = (max((b[2] for b in boxes), default=0) - self.x0) // side + 1
+        self.wy = (max((b[3] for b in boxes), default=0) - self.y0) // side + 1
+        self.members: Dict[Tuple[int, int], List[int]] = {}
+        self.keys = [self.reach(b) for b in boxes]
+        for i, keys in enumerate(self.keys):
+            for key in keys:
+                self.members.setdefault(key, []).append(i)
+
+    def reach(self, box) -> List[Tuple[int, int]]:
+        """Buckets met by a closed box; its corners may be Fractions."""
+        i0, i1 = (box[0] - self.x0) // self.wx, (box[2] - self.x0) // self.wx
+        j0, j1 = (box[1] - self.y0) // self.wy, (box[3] - self.y0) // self.wy
+        return [(i, j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+
+    def near(self, keys) -> set:
+        """Indices of the boxes sharing one of ``keys``."""
+        found = set()
+        for key in keys:
+            found.update(self.members.get(key, ()))
+        return found
+
+
+def validate_cw(k: CellComplex) -> ValidityReport:
+    """Check the containment and intersection conditions; violations are data.
+
+    The intersection check works on the complex scaled once by the lcm of
+    its coordinate denominators, so every predicate is an integer test;
+    points in the report are scaled back.  Cell pairs come from a bucket
+    grid over the cell boxes, in sorted-id order.
+    """
+    scale, coords = _integer_coords(k)
     realized = {}
-    boxes = {}
-    for cid in k.cells:
-        r = _realize(k, cid)
+    for cid, cell in k.cells.items():
+        r = _realize(cell, coords)
         if r is not None:
             realized[cid] = r
-            boxes[cid] = _bbox(r[1:]) if r[0] != "tri" else _bbox(r[1])
-    vertex_coords = {(p.x, p.y) for p in k.vertices.values()}
     ids = sorted(realized)
+    cells = [realized[cid] for cid in ids]
+    boxes = [_realized_box(r) for r in cells]
+    lines = _edge_lines(cells)
+    vertex_coords = {(p.x, p.y) for p in coords.values()}
+
+    def unscaled(p: Point2) -> Point2:
+        return Point2(Fraction(p.x, scale), Fraction(p.y, scale))
+
+    intersection: List[str] = []
+    grid = _Buckets(boxes)
     for i, c1 in enumerate(ids):
-        r1, b1 = realized[c1], boxes[c1]
-        for c2 in ids[i + 1 :]:
-            r2, b2 = realized[c2], boxes[c2]
-            if not _bbox_overlap(b1, b2):
+        r1, b1 = cells[i], boxes[i]
+        for j in sorted(j for j in grid.near(grid.keys[i]) if j > i):
+            if not boxes_meet(b1, boxes[j]):
                 continue
-            inter = _pair_intersection(r1, r2)
+            c2 = ids[j]
+            inter = _pair_intersection(r1, cells[j])
             if inter is None:
                 continue
             if inter[0] == "point":
                 p = inter[1]
                 if (p.x, p.y) not in vertex_coords:
                     intersection.append(
-                        f"cells {c1!r},{c2!r} meet at {p} which is not a vertex"
+                        f"cells {c1!r},{c2!r} meet at {unscaled(p)} which is not a vertex"
                     )
             elif inter[0] == "seg":
-                if not _segment_covered_by_edges(k, inter[1], inter[2]):
+                if not _segment_covered_by_edges(lines, inter[1], inter[2]):
                     intersection.append(
-                        f"cells {c1!r},{c2!r} share segment {inter[1]}-{inter[2]} not covered by edges"
+                        f"cells {c1!r},{c2!r} share segment {unscaled(inter[1])}-{unscaled(inter[2])} not covered by edges"
                     )
             else:
-                if not _region_covered_by_triangles(k, inter[1]):
+                near = grid.near(grid.reach(bounding_box(inter[1])))
+                triangles = [cells[t][1] for t in sorted(near) if cells[t][0] == "tri"]
+                if not _region_covered_by_triangles(inter[1], triangles):
                     intersection.append(
                         f"cells {c1!r},{c2!r} share a region not covered by triangles"
                     )
     return ValidityReport(
         name=k.name,
         cell_count=len(k.cells),
-        containment_violations=tuple(containment),
+        containment_violations=tuple(_containment_violations(k)),
         intersection_violations=tuple(intersection),
     )
 

@@ -103,7 +103,8 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentI
     """Exact intersection of the closed segments ``ab`` and ``cd``.
 
     Returns ``None``, ``("point", p)`` or ``("segment", p, q)`` where the
-    overlap endpoints are in lexicographic order.
+    overlap endpoints are in lexicographic order.  Exact for ``int`` as
+    well as ``Fraction`` coordinates.
     """
     if a == b:
         return ("point", a) if on_segment(a, c, d) else None
@@ -114,11 +115,21 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentI
     acx, acy = c.x - a.x, c.y - a.y
     denom = rx * sy - ry * sx
     if denom != 0:
-        t = (acx * sy - acy * sx) / denom
-        u = (acx * ry - acy * rx) / denom
-        if 0 <= t <= 1 and 0 <= u <= 1:
-            return ("point", Point2(a.x + t * rx, a.y + t * ry))
-        return None
+        # t = tn / denom and u = un / denom lie in [0, 1] iff tn and un lie
+        # between 0 and denom, whatever its sign; divide only on a hit.
+        tn = acx * sy - acy * sx
+        un = acx * ry - acy * rx
+        if denom > 0:
+            if not (0 <= tn <= denom and 0 <= un <= denom):
+                return None
+        elif not (denom <= tn <= 0 and denom <= un <= 0):
+            return None
+        if tn == 0 or tn == denom:
+            return ("point", a if tn == 0 else b)
+        if un == 0 or un == denom:
+            return ("point", c if un == 0 else d)
+        t = Fraction(tn, denom)
+        return ("point", Point2(a.x + t * rx, a.y + t * ry))
     if acx * ry - acy * rx != 0:
         return None  # parallel, different carrier lines
     lo1, hi1 = sorted((a, b), key=_lex)
@@ -149,6 +160,7 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
     if len({_lex(p) for p in loop}) != len(loop):
         return False
     segs = loop_segments(loop)
+    boxes = [bounding_box(seg) for seg in segs]
     n = len(segs)
     for i in range(n):
         a1, a2 = segs[i]
@@ -156,16 +168,27 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
             return False
         for j in range(i + 1, n):
             b1, b2 = segs[j]
-            inter = segment_intersection(a1, a2, b1, b2)
             if j == i + 1:
-                if inter != ("point", a2):
+                if segment_intersection(a1, a2, b1, b2) != ("point", a2):
                     return False
             elif i == 0 and j == n - 1:
-                if inter != ("point", a1):
+                if segment_intersection(a1, a2, b1, b2) != ("point", a1):
                     return False
-            elif inter is not None:
+            elif boxes_meet(boxes[i], boxes[j]) and segment_intersection(a1, a2, b1, b2) is not None:
                 return False
     return True
+
+
+def bounding_box(points: Iterable[Point2]) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
+    """Bounding box ``(xmin, ymin, xmax, ymax)`` of a nonempty point set."""
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
+    return (min(xs), min(ys), max(xs), max(ys))
+
+
+def boxes_meet(a, b) -> bool:
+    """The closed boxes ``(xmin, ymin, xmax, ymax)`` share a point."""
+    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
 class ScaledLoop:
@@ -175,7 +198,7 @@ class ScaledLoop:
     point classification only needs integer arithmetic.
     """
 
-    __slots__ = ("den", "xs", "ys")
+    __slots__ = ("den", "xs", "ys", "_scaled")
 
     def __init__(self, points: Sequence[Point2]):
         den = 1
@@ -184,29 +207,40 @@ class ScaledLoop:
         self.den = den
         self.xs = [p.x.numerator * (den // p.x.denominator) for p in points]
         self.ys = [p.y.numerator * (den // p.y.denominator) for p in points]
+        # (k, xs * k, ys * k) for the last multiplier k > 1 a query needed;
+        # successive queries usually share their denominators.
+        self._scaled = (1, self.xs, self.ys)
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
         k = m // self.den
         px = p.x.numerator * (m // p.x.denominator)
         py = p.y.numerator * (m // p.y.denominator)
-        xs, ys = self.xs, self.ys
-        n = len(xs)
+        if k == 1:
+            xs, ys = self.xs, self.ys
+        else:
+            scaled = self._scaled
+            if scaled[0] != k:
+                scaled = (k, [x * k for x in self.xs], [y * k for y in self.ys])
+                self._scaled = scaled
+            xs, ys = scaled[1], scaled[2]
         inside = False
-        x1 = xs[-1] * k
-        y1 = ys[-1] * k
-        for i in range(n):
-            x2 = xs[i] * k
-            y2 = ys[i] * k
-            cr = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-            if (
-                cr == 0
+        x1, y1 = xs[-1], ys[-1]
+        for x2, y2 in zip(xs, ys):
+            if (y1 > py) != (y2 > py):
+                # The edge spans the query's row, so p is on it iff on its line.
+                cr = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
+                if cr == 0:
+                    return PointLocation.ON_BOUNDARY
+                if (cr > 0) == (y2 > y1):
+                    inside = not inside
+            elif (
+                (y1 == py or y2 == py)
                 and min(x1, x2) <= px <= max(x1, x2)
-                and min(y1, y2) <= py <= max(y1, y2)
+                and (x2 - x1) * (py - y1) == (y2 - y1) * (px - x1)
             ):
+                # Otherwise p can be on the edge only at an endpoint's row.
                 return PointLocation.ON_BOUNDARY
-            if (y1 > py) != (y2 > py) and (cr > 0) == (y2 > y1):
-                inside = not inside
             x1, y1 = x2, y2
         return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 

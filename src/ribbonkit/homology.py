@@ -22,10 +22,11 @@ from .errors import (
 )
 from .geometry import (
     Point2,
+    bounding_box,
     cross_value,
     segment_segment_distance_sq,
 )
-from .nerves import Region, SimplicialComplex, _box, nerve
+from .nerves import Region, SimplicialComplex, nerve
 
 
 @dataclass(frozen=True)
@@ -325,8 +326,8 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     below, so the minimum is the one of the full double loop.
     """
     best: Optional[Fraction] = None
-    boxes = [_box(r.boundary_vertices()) for r in regions]
-    segments = [[(a, b, _box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    boxes = [bounding_box(r.boundary_vertices()) for r in regions]
+    segments = [[(a, b, bounding_box((a, b))) for a, b in r.boundary_segments()] for r in regions]
     for i, segs1 in enumerate(segments):
         for j in range(i + 1, len(regions)):
             if best is not None and _box_gap_sq(boxes[i], boxes[j]) >= best:

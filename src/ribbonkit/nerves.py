@@ -23,7 +23,6 @@ to the regions it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -32,6 +31,8 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    bounding_box,
+    boxes_meet,
     loop_segments,
     segment_intersection,
     simple_polygon,
@@ -107,18 +108,6 @@ class Region:
         return f"Region({self.label or len(self.loops)})"
 
 
-def _box(points) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
-    """Bounding box ``(xmin, ymin, xmax, ymax)`` of a nonempty point set."""
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return (min(xs), min(ys), max(xs), max(ys))
-
-
-def _boxes_meet(a, b) -> bool:
-    """The closed boxes ``(xmin, ymin, xmax, ymax)`` share a point."""
-    return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
 def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
     """Arrangement vertices of the boundaries plus one sample per loop.
 
@@ -139,15 +128,15 @@ def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
     for r in regions:
         for p in r.boundary_vertices():
             push(p)
-    segments = [[(a, b, _box((a, b))) for a, b in r.boundary_segments()] for r in regions]
-    boxes = [_box(r.boundary_vertices()) for r in regions]
+    segments = [[(a, b, bounding_box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    boxes = [bounding_box(r.boundary_vertices()) for r in regions]
     for i, segs1 in enumerate(segments):
         for j in range(i + 1, len(regions)):
-            if not _boxes_meet(boxes[i], boxes[j]):
+            if not boxes_meet(boxes[i], boxes[j]):
                 continue
             for a, b, box1 in segs1:
                 for c, d, box2 in segments[j]:
-                    if not _boxes_meet(box1, box2):
+                    if not boxes_meet(box1, box2):
                         continue
                     inter = segment_intersection(a, b, c, d)
                     if inter is None:

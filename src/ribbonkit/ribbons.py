@@ -27,6 +27,8 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    bounding_box,
+    boxes_meet,
     loop_segments,
     segment_intersection,
     simple_polygon,
@@ -85,9 +87,11 @@ def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
     for p in inner.points:
         if outer.locate(p) is not PointLocation.INSIDE:
             return False
+    outer_segments = [(c, d, bounding_box((c, d))) for c, d in outer.segments()]
     for a, b in inner.segments():
-        for c, d in outer.segments():
-            if segment_intersection(a, b, c, d) is not None:
+        box = bounding_box((a, b))
+        for c, d, outer_box in outer_segments:
+            if boxes_meet(box, outer_box) and segment_intersection(a, b, c, d) is not None:
                 return False
     return True
 

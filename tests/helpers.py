@@ -1,17 +1,35 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
 level-wise nerve enumerator, the per-pixel raster with its breadth-first
-counts, and the unpruned clearance loop."""
+counts, the unpruned clearance loop, the all-pairs CW intersection check
+and the unpruned simplicity and nesting tests."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from ribbonkit.complexes import CellComplex
+from ribbonkit.complexes import (
+    CellComplex,
+    CellKind,
+    ValidityReport,
+    _ccw,
+    _classify_poly,
+    _containment_violations,
+    _point_in_convex,
+    _realize,
+    _realized_box,
+    convex_clip,
+)
 from ribbonkit.errors import FrameTooSmall
 from ribbonkit.geometry import (
     Point2,
+    PointLocation,
+    boxes_meet,
+    cross_value,
+    loop_segments,
+    on_segment,
     point,
+    polygon_area2,
     segment_intersection,
     segment_segment_distance_sq,
 )
@@ -342,3 +360,196 @@ def reference_clearance_sq(regions):
                     if best is None or dist < best:
                         best = dist
     return best
+
+
+def reference_segment_intersection(a, b, c, d):
+    """Intersection of closed segments with the parameters divided out
+    before they are compared with 0 and 1; Fraction coordinates only."""
+    if a == b:
+        return ("point", a) if on_segment(a, c, d) else None
+    if c == d:
+        return ("point", c) if on_segment(c, a, b) else None
+    rx, ry = b.x - a.x, b.y - a.y
+    sx, sy = d.x - c.x, d.y - c.y
+    acx, acy = c.x - a.x, c.y - a.y
+    denom = rx * sy - ry * sx
+    if denom != 0:
+        t = (acx * sy - acy * sx) / denom
+        u = (acx * ry - acy * rx) / denom
+        if 0 <= t <= 1 and 0 <= u <= 1:
+            return ("point", Point2(a.x + t * rx, a.y + t * ry))
+        return None
+    return segment_intersection(a, b, c, d)
+
+
+def _reference_clip_segment_to_triangle(a, b, tri):
+    t0, t1 = Fraction(0), Fraction(1)
+    n = len(tri)
+    for i in range(n):
+        e1, e2 = tri[i], tri[(i + 1) % n]
+        va = cross_value(e1, e2, a)
+        vb = cross_value(e1, e2, b)
+        dv = vb - va
+        if dv == 0:
+            if va < 0:
+                return None
+            continue
+        t_hit = -va / dv
+        if dv > 0:
+            t0 = max(t0, t_hit)
+        else:
+            t1 = min(t1, t_hit)
+        if t0 > t1:
+            return None
+    p0, p1 = (Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)) for t in (t0, t1))
+    if p0 == p1:
+        return ("point", p0)
+    lo, hi = sorted((p0, p1), key=lambda q: (q.x, q.y))
+    return ("seg", lo, hi)
+
+
+def _reference_pair_intersection(r1, r2):
+    order = {"point": 0, "seg": 1, "tri": 2}
+    if order[r1[0]] > order[r2[0]]:
+        r1, r2 = r2, r1
+    kinds = (r1[0], r2[0])
+    if kinds == ("point", "point"):
+        return ("point", r1[1]) if r1[1] == r2[1] else None
+    if kinds == ("point", "seg"):
+        return ("point", r1[1]) if on_segment(r1[1], r2[1], r2[2]) else None
+    if kinds == ("point", "tri"):
+        return ("point", r1[1]) if _point_in_convex(r1[1], r2[1]) else None
+    if kinds == ("seg", "seg"):
+        inter = reference_segment_intersection(r1[1], r1[2], r2[1], r2[2])
+        if inter is None or inter[0] == "point":
+            return inter
+        return ("seg", inter[1], inter[2])
+    if kinds == ("seg", "tri"):
+        return _reference_clip_segment_to_triangle(r1[1], r1[2], r2[1])
+    return _classify_poly(convex_clip(r1[1], r2[1]))
+
+
+def _segment_param(p, a, b):
+    if b.x != a.x:
+        return (p.x - a.x) / (b.x - a.x)
+    return (p.y - a.y) / (b.y - a.y)
+
+
+def _reference_segment_covered(k, lo, hi):
+    intervals = []
+    for cid, cell in k.cells.items():
+        if cell.kind is not CellKind.EDGE:
+            continue
+        pts = k.cell_points(cid)
+        if pts is None:
+            continue
+        s, t = pts
+        if on_segment(s, lo, hi) and on_segment(t, lo, hi):
+            ps, pt = _segment_param(s, lo, hi), _segment_param(t, lo, hi)
+            intervals.append((min(ps, pt), max(ps, pt)))
+    intervals.sort()
+    cursor = Fraction(0)
+    for s, t in intervals:
+        if s > cursor:
+            return False
+        if t > cursor:
+            cursor = t
+    return cursor >= 1
+
+
+def _reference_region_covered(k, poly):
+    target = abs(polygon_area2(poly))
+    ccw_poly = _ccw(poly)
+    contained = []
+    for cid, cell in k.cells.items():
+        if cell.kind is not CellKind.TRIANGLE:
+            continue
+        pts = k.cell_points(cid)
+        if pts is None:
+            continue
+        if all(_point_in_convex(p, ccw_poly) for p in pts):
+            contained.append(_ccw(pts))
+    total = Fraction(0)
+    for i, t1 in enumerate(contained):
+        total += abs(polygon_area2(t1))
+        for t2 in contained[i + 1 :]:
+            overlap = convex_clip(t1, t2)
+            if len(overlap) >= 3 and polygon_area2(overlap) != 0:
+                return False
+    return total == target
+
+
+def reference_validate_cw(k: CellComplex) -> ValidityReport:
+    """The CW check on Fraction coordinates: every cell pair in sorted-id
+    order through a box test, every edge scanned for a shared segment and
+    every triangle for a shared region."""
+    realized = {}
+    for cid, cell in k.cells.items():
+        r = _realize(cell, k.vertices)
+        if r is not None:
+            realized[cid] = r
+    vertex_coords = {(p.x, p.y) for p in k.vertices.values()}
+    boxes = {cid: _realized_box(r) for cid, r in realized.items()}
+    ids = sorted(realized)
+    intersection = []
+    for i, c1 in enumerate(ids):
+        r1 = realized[c1]
+        for c2 in ids[i + 1 :]:
+            r2 = realized[c2]
+            if not boxes_meet(boxes[c1], boxes[c2]):
+                continue
+            inter = _reference_pair_intersection(r1, r2)
+            if inter is None:
+                continue
+            if inter[0] == "point":
+                p = inter[1]
+                if (p.x, p.y) not in vertex_coords:
+                    intersection.append(
+                        f"cells {c1!r},{c2!r} meet at {p} which is not a vertex"
+                    )
+            elif inter[0] == "seg":
+                if not _reference_segment_covered(k, inter[1], inter[2]):
+                    intersection.append(
+                        f"cells {c1!r},{c2!r} share segment {inter[1]}-{inter[2]} not covered by edges"
+                    )
+            elif not _reference_region_covered(k, inter[1]):
+                intersection.append(
+                    f"cells {c1!r},{c2!r} share a region not covered by triangles"
+                )
+    return ValidityReport(
+        name=k.name,
+        cell_count=len(k.cells),
+        containment_violations=tuple(_containment_violations(k)),
+        intersection_violations=tuple(intersection),
+    )
+
+
+def reference_simple_polygon(loop) -> bool:
+    """Simplicity by exact intersection of every segment pair."""
+    if len({(p.x, p.y) for p in loop}) != len(loop):
+        return False
+    segs = loop_segments(loop)
+    n = len(segs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            inter = segment_intersection(*segs[i], *segs[j])
+            adjacent = j == i + 1 or (i == 0 and j == n - 1)
+            if adjacent:
+                shared = segs[i][1] if j == i + 1 else segs[i][0]
+                if inter != ("point", shared):
+                    return False
+            elif inter is not None:
+                return False
+    return True
+
+
+def reference_is_nested(inner, outer) -> bool:
+    """Nesting with every inner/outer segment pair intersected."""
+    for p in inner.points:
+        if outer.locate(p) is not PointLocation.INSIDE:
+            return False
+    for a, b in inner.segments():
+        for c, d in outer.segments():
+            if segment_intersection(a, b, c, d) is not None:
+                return False
+    return True

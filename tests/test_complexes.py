@@ -1,18 +1,31 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
+
+from helpers import reference_validate_cw
 
 from ribbonkit import gallery
 from ribbonkit.complexes import (
     CellComplex,
     CellKind,
+    _Buckets,
+    _integer_coords,
+    _realize,
+    _realized_box,
     boundary,
     closure,
     interior,
     validate_cw,
 )
 from ribbonkit.errors import DegenerateCell, UnknownCellId
-from ribbonkit.geometry import PointLocation, point, point_in_polygon, segment_intersection
+from ribbonkit.geometry import (
+    Point2,
+    PointLocation,
+    point,
+    point_in_polygon,
+    segment_intersection,
+)
 
 
 def test_single_vertex_complex_is_valid():
@@ -153,3 +166,154 @@ def test_isolated_cells_are_allowed():
     th = gallery.two_hole_ribbon()
     th.complex.add_vertex("stray", point(10, 10))
     assert validate_cw(th.complex).valid
+
+
+MIXED_DENOMINATORS = (1, 2, 3, 7, 16, 1024)
+
+
+def _perturbed_triangulation(rng: Random, n: int, m: int) -> CellComplex:
+    """n x m squares cut into triangles; interior vertices move by up to a
+    quarter unit with mixed denominators, so some triangles may flip."""
+    k = CellComplex("T")
+    for i in range(n + 1):
+        for j in range(m + 1):
+            x, y = Fraction(i), Fraction(j)
+            if 0 < i < n and 0 < j < m:
+                d = rng.choice(MIXED_DENOMINATORS)
+                x += Fraction(rng.randint(-d, d), 4 * d)
+                y += Fraction(rng.randint(-d, d), 4 * d)
+            k.add_vertex(f"v{i}_{j}", Point2(x, y))
+    for i in range(n):
+        for j in range(m):
+            for tri in (
+                (f"v{i}_{j}", f"v{i + 1}_{j}", f"v{i + 1}_{j + 1}"),
+                (f"v{i}_{j}", f"v{i + 1}_{j + 1}", f"v{i}_{j + 1}"),
+            ):
+                try:
+                    k.add_triangle(*tri)
+                except DegenerateCell:
+                    pass
+    return k
+
+
+def _drop_edge(k: CellComplex, a: str, b: str) -> None:
+    eid = k.edge_between(a, b)
+    if eid is not None:
+        del k.cells[eid]
+        del k._edge_index[frozenset((a, b))]
+
+
+def _inject(rng: Random, k: CellComplex, n: int, m: int) -> None:
+    """Add one or more violations, or near-violations, at random."""
+    i, j = rng.randrange(n), rng.randrange(m)
+    corner = lambda di, dj: f"v{i + di}_{j + dj}"
+    kinds = rng.sample(("cross", "missing", "overlap", "collinear", "zero", "ghost"), rng.randint(1, 3))
+    for kind in kinds:
+        if kind == "cross":
+            k.add_edge(corner(0, 1), corner(1, 0), f"x_cross{i}_{j}")
+        elif kind == "missing":
+            _drop_edge(k, corner(0, 0), rng.choice((corner(1, 0), corner(1, 1), corner(0, 1))))
+        elif kind == "overlap":
+            try:
+                k.add_triangle(corner(0, 0), corner(1, 0), corner(0, 1), f"x_tri{i}_{j}")
+            except (DegenerateCell, ValueError):
+                pass
+        elif kind == "collinear":
+            # a piece of the line through an edge, from its midpoint to past
+            # its far end, with the endpoints in either order
+            a, b = corner(0, 0), rng.choice((corner(1, 0), corner(1, 1), corner(0, 1)))
+            pa, pb = k.vertices[a], k.vertices[b]
+            mid = f"x_mid{i}_{j}"
+            far = f"x_far{i}_{j}"
+            k.add_vertex(mid, Point2((pa.x + pb.x) / 2, (pa.y + pb.y) / 2))
+            k.add_vertex(far, Point2(pb.x + (pb.x - pa.x) / 3, pb.y + (pb.y - pa.y) / 3))
+            ends = [mid, far]
+            rng.shuffle(ends)
+            k.add_edge(*ends)
+        elif kind == "zero":
+            twin = f"x_twin{i}_{j}"
+            k.add_vertex(twin, k.vertices[corner(1, 1)])
+            k.add_edge(twin, corner(1, 1))
+            k.add_edge(twin, corner(0, 0))
+        else:
+            k.add_edge(corner(0, 0), "ghost")
+            k.add_triangle(corner(1, 0), corner(1, 1), "ghost2")
+
+
+def _random_soup(rng: Random) -> CellComplex:
+    """Vertices, edges and triangles on a small lattice: crossings,
+    collinear overlaps, shared vertices and touching boxes abound."""
+    k = CellComplex("S")
+    d = rng.choice(MIXED_DENOMINATORS) if rng.random() < 0.5 else 1
+    side = rng.randint(2, 5)
+    ids = []
+    for v in range(rng.randint(3, 9)):
+        vid = f"p{v}"
+        k.add_vertex(vid, Point2(Fraction(rng.randint(0, side * d), d), Fraction(rng.randint(0, side * d), d)))
+        ids.append(vid)
+    for _ in range(rng.randint(0, 6)):
+        a, b = rng.sample(ids, 2)
+        try:
+            k.add_edge(a, b)
+        except ValueError:
+            pass
+    for _ in range(rng.randint(0, 4)):
+        try:
+            k.add_triangle(*rng.sample(ids, 3))
+        except (DegenerateCell, ValueError):
+            pass
+    return k
+
+
+def _touching_on_bucket_boundary() -> CellComplex:
+    """Two triangles whose boxes meet only on the line x = 3, which is a
+    bucket boundary; their edges on that line overlap without being
+    covered."""
+    k = CellComplex("touch")
+    for vid, (x, y) in (
+        ("a0", (0, 0)), ("a1", (3, 0)), ("a2", (3, 4)),
+        ("b0", (3, 2)), ("b1", (6, 3)), ("b2", (3, 6)),
+    ):
+        k.add_vertex(vid, point(x, y))
+    k.add_triangle("a0", "a1", "a2")
+    k.add_triangle("b0", "b1", "b2")
+    return k
+
+
+def test_touching_boxes_case_sits_on_a_bucket_boundary():
+    k = _touching_on_bucket_boundary()
+    scale, coords = _integer_coords(k)
+    boxes = [_realized_box(_realize(cell, coords)) for cell in k.cells.values()]
+    grid = _Buckets(boxes)
+    assert (3 * scale - grid.x0) % grid.wx == 0 and 3 * scale > grid.x0
+    lines = validate_cw(k).lines()
+    assert any("share segment (3, 2)-(3, 4)" in line for line in lines)
+
+
+def test_validate_cw_matches_reference():
+    rng = Random(4417)
+    cases = []
+    for build in (
+        gallery.two_hole_ribbon,
+        gallery.shared_vertex_pair,
+        gallery.triple_vortex,
+        gallery.five_ribbon_complex,
+        gallery.filament_ribbon,
+    ):
+        cases.append(build().complex)
+    for doc in gallery.sample_documents().values():
+        cases.extend(doc.complexes.values())
+    cases.append(_touching_on_bucket_boundary())
+    for _ in range(24):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        k = _perturbed_triangulation(rng, n, m)
+        if rng.random() < 0.75:
+            _inject(rng, k, n, m)
+        cases.append(k)
+    cases.extend(_random_soup(rng) for _ in range(120))
+    invalid = 0
+    for k in cases:
+        got = validate_cw(k)
+        assert got.lines() == reference_validate_cw(k).lines(), k.name
+        invalid += not got.valid
+    assert invalid >= 60

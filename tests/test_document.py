@@ -1,10 +1,12 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from ribbonkit import gallery
 from ribbonkit.cli import main
+from ribbonkit.complexes import CellComplex
 from ribbonkit.document import (
     ComplexDocument,
     format_rational,
@@ -18,6 +20,7 @@ from ribbonkit.errors import (
     UnknownTarget,
     UnresolvedReference,
 )
+from ribbonkit.geometry import Point2
 from ribbonkit.svgrender import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -259,3 +262,84 @@ def test_serializer_requires_named_references():
     doc.ribbons["ring"] = th.ribbon  # cycles left unnamed on purpose
     with pytest.raises(ValueError):
         serialize_document(doc)
+
+
+def _violation_grid(kind: str) -> ComplexDocument:
+    """A perturbed grid triangulation with one kind of injected violation.
+
+    Interior vertices move by fractions with denominators 3, 7 and 16, so
+    the document mixes denominators."""
+    n, m = {"cross": (3, 3), "overlap": (3, 2), "collinear": (2, 2)}[kind]
+    k = CellComplex(f"grid_{kind}")
+    for i in range(n + 1):
+        for j in range(m + 1):
+            x, y = Fraction(i), Fraction(j)
+            if 0 < i < n and 0 < j < m:
+                x += Fraction((i + 2 * j) % 3 - 1, 3 * (1 + (i + j) % 2))
+                y += Fraction((2 * i + j) % 5 - 2, 7 if (i * j) % 2 else 16)
+            k.add_vertex(f"v{i}_{j}", Point2(x, y))
+    for i in range(n):
+        for j in range(m):
+            k.add_triangle(f"v{i}_{j}", f"v{i + 1}_{j}", f"v{i + 1}_{j + 1}")
+            k.add_triangle(f"v{i}_{j}", f"v{i + 1}_{j + 1}", f"v{i}_{j + 1}")
+    if kind == "cross":
+        k.add_edge("v1_2", "v2_1", "x_cross")
+    elif kind == "overlap":
+        k.add_triangle("v1_0", "v2_0", "v1_1", "x_tri")
+    else:
+        # an edge ending inside a boundary edge, overlapping it in part,
+        # and a zero-length edge between two ids at one point
+        k.add_vertex("mid", Point2(Fraction(3, 2), Fraction(0)))
+        k.add_edge("v0_0", "mid", "x_long")
+        k.add_vertex("twin", k.vertices["v1_1"])
+        k.add_edge("v1_1", "twin", "x_zero")
+    doc = ComplexDocument()
+    doc.complexes[k.name] = k
+    return doc
+
+
+# Exact `ribbonkit validate` exit code and stdout of every golden file and
+# of three grids with injected violations.
+VALIDATE_STDOUT = {
+    "filament_ribbon": (0, "complex=Kf cells=41 valid=true\n"),
+    "five_ribbon_complex": (0, "complex=Kx cells=126 valid=true\n"),
+    "nerve_space_pair": (0, "complex=Kl cells=88 valid=true\ncomplex=Kr cells=61 valid=true\n"),
+    "proximity_demo": (0, "complex=K cells=40 valid=true\ncomplex=Kp cells=63 valid=true\n"),
+    "shared_vertex_pair": (0, "complex=Kp cells=63 valid=true\n"),
+    "triple_vortex": (0, "complex=Kv cells=60 valid=true\n"),
+    "two_hole_ribbon": (0, "complex=K cells=40 valid=true\n"),
+    "grid_cross": (2, (
+        "complex=grid_cross cells=68 valid=false\n"
+        "  intersection: cells 'v1_1--v1_2--v2_2','x_cross' share segment (7/6, 17/8)-(1096/771, 3583/2056) not covered by edges\n"
+        "  intersection: cells 'v1_1--v2_1--v2_2','x_cross' share segment (1096/771, 3583/2056)-(2, 7/8) not covered by edges\n"
+        "  intersection: cells 'v1_1--v2_2','x_cross' meet at (1096/771, 3583/2056) which is not a vertex\n"
+    )),
+    "grid_overlap": (2, (
+        "complex=grid_overlap cells=49 valid=false\n"
+        "  intersection: cells 'v1_0--v1_1--v2_1','v1_1--v2_0' share segment (2/3, 8/7)-(145/97, 42/97) not covered by edges\n"
+        "  intersection: cells 'v1_0--v1_1--v2_1','x_tri' share a region not covered by triangles\n"
+        "  intersection: cells 'v1_0--v2_0--v2_1','v1_1--v2_0' share segment (145/97, 42/97)-(2, 0) not covered by edges\n"
+        "  intersection: cells 'v1_0--v2_0--v2_1','x_tri' share a region not covered by triangles\n"
+        "  intersection: cells 'v1_0--v2_1','v1_1--v2_0' meet at (145/97, 42/97) which is not a vertex\n"
+        "  intersection: cells 'v1_0--v2_1','x_tri' share segment (1, 0)-(145/97, 42/97) not covered by edges\n"
+    )),
+    "grid_collinear": (2, (
+        "complex=grid_collinear cells=37 valid=false\n"
+        "  intersection: cells 'v1_0--v2_0','x_long' share segment (1, 0)-(3/2, 0) not covered by edges\n"
+        "  intersection: cells 'v1_0--v2_0--v2_1','x_long' share segment (1, 0)-(3/2, 0) not covered by edges\n"
+    )),
+}
+
+
+@pytest.mark.parametrize("stem", sorted(VALIDATE_STDOUT))
+def test_cli_validate_stdout_is_byte_exact(stem, tmp_path, capsys):
+    if stem.startswith("grid_"):
+        path = tmp_path / f"{stem}.rcx"
+        path.write_text(serialize_document(_violation_grid(stem[5:])), encoding="utf-8")
+    else:
+        path = GOLDEN / f"{stem}.rcx"
+    assert sorted(p.stem for p in GOLDEN.glob("*.rcx")) == sorted(
+        s for s in VALIDATE_STDOUT if not s.startswith("grid_")
+    )
+    code = main(["validate", str(path)])
+    assert (code, capsys.readouterr().out) == VALIDATE_STDOUT[stem]

@@ -3,11 +3,14 @@ from random import Random
 
 import pytest
 
+from helpers import reference_segment_intersection, reference_simple_polygon
+
 from ribbonkit.errors import NonSimplePolygon, TooFewVertices
 from ribbonkit.geometry import (
     Orientation,
     Point2,
     PointLocation,
+    ScaledLoop,
     cross_value,
     loop_segments,
     on_segment,
@@ -105,25 +108,6 @@ def test_point_in_polygon_matches_ray_oracle():
             assert point_in_polygon(p, loop) is _ray_classify(p, loop)
 
 
-def _brute_simple(loop):
-    """All-pairs exact segment intersection oracle for simplicity."""
-    if len({(p.x, p.y) for p in loop}) != len(loop):
-        return False
-    segs = loop_segments(loop)
-    n = len(segs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            inter = segment_intersection(*segs[i], *segs[j])
-            adjacent = j == i + 1 or (i == 0 and j == n - 1)
-            if adjacent:
-                shared = segs[i][1] if j == i + 1 else segs[i][0]
-                if inter != ("point", shared):
-                    return False
-            elif inter is not None:
-                return False
-    return True
-
-
 def test_simple_polygon_examples_and_oracle():
     square = [point(0, 0), point(2, 0), point(2, 2), point(0, 2)]
     assert simple_polygon(square) is True
@@ -134,7 +118,7 @@ def test_simple_polygon_examples_and_oracle():
     cases = [square, BOWTIE, spike, SQUARE,
              [point(0, 0), point(1, 0), point(1, 1), point(0, 1), point(0, 0)][:-1]]
     for loop in cases:
-        assert simple_polygon(loop) == _brute_simple(loop)
+        assert simple_polygon(loop) == reference_simple_polygon(loop)
 
 
 def test_simple_polygon_allows_collinear_straight_runs():
@@ -169,3 +153,82 @@ def test_segment_distances():
     assert segment_point_distance_sq(point(4, 0), point(-2, 0), point(2, 0)) == 4
     assert segment_segment_distance_sq(point(0, 0), point(1, 0), point(0, 2), point(1, 2)) == 4
     assert segment_segment_distance_sq(point(0, 0), point(2, 2), point(0, 2), point(2, 0)) == 0
+
+
+def _lattice_point(rng: Random, side: int, den: int) -> Point2:
+    return Point2(Fraction(rng.randint(0, side * den), den), Fraction(rng.randint(0, side * den), den))
+
+
+def test_segment_intersection_matches_division_form():
+    # Small lattices give endpoint touches, T-junctions, collinear overlaps
+    # and degenerate segments; int coordinates must give the same points.
+    rng = Random(29)
+    kinds = set()
+    for _ in range(3000):
+        den = rng.choice((1, 1, 2, 3, 7))
+        a, b, c, d = (_lattice_point(rng, 3, den) for _ in range(4))
+        want = reference_segment_intersection(a, b, c, d)
+        assert segment_intersection(a, b, c, d) == want
+        kinds.add(None if want is None else want[0])
+        if den == 1:
+            ints = [Point2(p.x.numerator, p.y.numerator) for p in (a, b, c, d)]
+            got = segment_intersection(*ints)
+            assert got == want
+            if got is not None:
+                assert not any(isinstance(v, float) for q in got[1:] for v in (q.x, q.y))
+    assert kinds == {None, "point", "segment"}
+
+
+def _star_loop(rng: Random, n: int):
+    """Simple loop: points at increasing angles around the origin."""
+    dirs = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+            (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)]
+    picks = sorted(rng.sample(range(len(dirs)), n))
+    loop = []
+    for i in picks:
+        r = Fraction(rng.randint(2, 9), rng.choice((1, 2, 3, 5)))
+        loop.append(Point2(dirs[i][0] * r, dirs[i][1] * r))
+    return loop
+
+
+def test_scaled_loop_classify_keeps_no_stale_rescale():
+    # One long-lived loop answers queries whose denominators alternate, so a
+    # rescale kept from the previous query would give wrong answers.
+    rng = Random(31)
+    seen = set()
+    for _ in range(40):
+        pts = _star_loop(rng, rng.randint(3, 8))
+        loop = ScaledLoop(pts)
+        for q in range(60):
+            den = (1, 3, 2, 3, 7, 1024)[q % 6] * rng.choice((1, 5))
+            p = Point2(Fraction(rng.randint(-10 * den, 10 * den), den), Fraction(rng.randint(-10 * den, 10 * den), den))
+            if q % 10 == 0:
+                p = rng.choice(pts)
+            got = loop.classify(p)
+            assert got is ScaledLoop(pts).classify(p)
+            assert got is _ray_classify(p, pts)
+            seen.add(got)
+    assert seen == set(PointLocation)
+
+
+def test_simple_polygon_matches_unpruned_reference():
+    rng = Random(37)
+    outcomes = []
+    for _ in range(600):
+        shape = rng.random()
+        if shape < 0.6:
+            # lattice loops: self-touching, collinear overlaps, crossings
+            loop = [point(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(rng.randint(3, 7))]
+        elif shape < 0.8:
+            loop = _star_loop(rng, rng.randint(3, 9))
+        else:
+            # a star loop with one vertex pushed onto, or across, another edge
+            loop = _star_loop(rng, rng.randint(4, 9))
+            i = rng.randrange(len(loop))
+            a, b = loop[(i + 2) % len(loop)], loop[(i + 3) % len(loop)]
+            t = Fraction(rng.randint(0, 4), 4)
+            loop[i] = Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+        want = reference_simple_polygon(loop)
+        assert simple_polygon(loop) is want
+        outcomes.append(want)
+    assert 100 < sum(outcomes) < 500

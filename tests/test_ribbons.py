@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from helpers import add_rect_loop, random_rect_ribbon, translate_ribbon
+from helpers import add_rect_loop, random_rect_ribbon, reference_is_nested, translate_ribbon
 
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
@@ -15,7 +15,7 @@ from ribbonkit.errors import (
     NotNested,
     TooFewCycles,
 )
-from ribbonkit.geometry import Point2, PointLocation, point, point_in_polygon
+from ribbonkit.geometry import Point2, PointLocation, point, point_in_polygon, simple_polygon
 from ribbonkit.ribbons import (
     Filament,
     RibbonMembership,
@@ -247,3 +247,58 @@ def test_membership_is_translation_invariant():
     for p in probes:
         shifted = Point2(p.x + 7, p.y - 3)
         assert r.membership(p) is moved.membership(shifted)
+
+
+def _random_cycle(rng: Random, k: CellComplex, prefix: str, lo: int, hi: int):
+    """Simple loop through points at increasing angles around a lattice
+    centre, often non-convex."""
+    dirs = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    while True:
+        cx, cy = rng.randint(-1, 1), rng.randint(-1, 1)
+        pts = []
+        for i in sorted(rng.sample(range(8), rng.randint(3, 8))):
+            r = rng.randint(lo, hi)
+            pts.append(point(cx + dirs[i][0] * r, cy + dirs[i][1] * r))
+        if simple_polygon(pts):
+            break
+    ids = [k.add_vertex(f"{prefix}{n}", p) for n, p in enumerate(pts)]
+    return make_filled_cycle(k, ids, prefix)
+
+
+def _dented_square(rng: Random, k: CellComplex):
+    """The square [0, 8]^2 with its top or bottom edge pulled in to a
+    lattice point."""
+    pts = [point(0, 0), point(8, 0), point(8, 8), point(rng.randint(1, 7), rng.randint(1, 7)), point(0, 8)]
+    if rng.random() < 0.5:
+        pts = [point(p.x, 8 - p.y) for p in reversed(pts)]
+    return make_filled_cycle(k, [k.add_vertex(f"d{n}", p) for n, p in enumerate(pts)], "dented")
+
+
+def _lattice_cycle(rng: Random, k: CellComplex):
+    while True:
+        pts = [point(rng.randint(1, 7), rng.randint(1, 7)) for _ in range(rng.randint(3, 4))]
+        if simple_polygon(pts):
+            return make_filled_cycle(k, [k.add_vertex(f"l{n}", p) for n, p in enumerate(pts)], "lattice")
+
+
+def test_is_nested_matches_unpruned_reference():
+    # Star-shaped loops, and lattice loops in a dented square, where every
+    # inner vertex may lie inside while an inner edge still crosses the
+    # outer boundary or passes through its dent.
+    rng = Random(41)
+    outcomes = []
+    edge_decided = 0
+    for case in range(400):
+        k = CellComplex(f"N{case}")
+        if case % 2:
+            outer, inner = _dented_square(rng, k), _lattice_cycle(rng, k)
+        else:
+            outer, inner = _random_cycle(rng, k, "o", 3, 8), _random_cycle(rng, k, "i", 1, 5)
+        want = reference_is_nested(inner, outer)
+        assert is_nested(inner, outer) is want
+        outcomes.append(want)
+        edge_decided += not want and all(
+            outer.locate(p) is PointLocation.INSIDE for p in inner.points
+        )
+    assert 40 < sum(outcomes) < 360
+    assert edge_decided >= 8
