@@ -10,10 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
-from .geometry import Point2, segment_point_distance_sq
+from .geometry import Point2, lattice_row_events, loop_segments, segment_point_distance_sq
 from .ribbons import Ribbon, RibbonMembership
 
 
@@ -122,67 +124,124 @@ class PartitionReport:
         return out
 
 
-def _sample_points(r: Ribbon, f: Frame, grid_density: int) -> List[Point2]:
-    pts: List[Point2] = []
-    if grid_density == 1:
-        pts.append(Point2((f.lo.x + f.hi.x) / 2, (f.lo.y + f.hi.y) / 2))
-    else:
-        d = grid_density
-        wx = f.hi.x - f.lo.x
-        wy = f.hi.y - f.lo.y
-        xs = [f.lo.x + Fraction(i, d - 1) * wx for i in range(d)]
-        ys = [f.lo.y + Fraction(j, d - 1) * wy for j in range(d)]
-        pts.extend(Point2(x, y) for y in ys for x in xs)
-    for cycle in (r.outer, r.inner):
-        pts.extend(cycle.points)
-        for a, b in cycle.segments():
-            pts.append(Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
-    return pts
-
-
-def _boundary_sets(r: Ribbon, f: Frame):
-    outer = r.outer.segments()
-    inner = r.inner.segments()
-    return {
-        RegionLabel.PI1_OUTSIDE: outer + f.border_segments(),
-        RegionLabel.PI2_ANNULUS: outer + inner,
-        RegionLabel.PI3_INNER: inner,
-    }
+def _on_any(x: int, y: int, segments) -> bool:
+    """``(x, y)`` lies on one of the closed segments ``((x1, y1), (x2, y2))``."""
+    for (x1, y1), (x2, y2) in segments:
+        if (
+            min(x1, x2) <= x <= max(x1, x2)
+            and min(y1, y2) <= y <= max(y1, y2)
+            and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
+        ):
+            return True
+    return False
 
 
 def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     """Classify a rational lattice plus loop vertices and edge midpoints.
 
-    The report records the per-label sample counts, whether all three
-    labels were realized, and for each label a sampled witness point whose
-    exact clearance to the label's boundary set is strictly positive.
+    The samples are the d x d lattice spanning the frame (its centre alone
+    for d = 1), then the vertices and the edge midpoints of the outer and
+    of the inner loop.  The report records the per-label sample counts,
+    whether all three labels were realized, and for each label the first
+    sample whose exact clearance to the label's boundary set is strictly
+    positive, with that clearance.
+
+    The frame and the loops are scaled once to integers, so lattice point
+    ``(i, j)`` sits at ``origin + (i, j) * step``.  Along a lattice row the
+    label can change only where a loop meets the row, so each stretch of
+    columns between two consecutive events takes the label of its first
+    point, and a point exactly on an event is labelled on its own.
     """
     if grid_density < 1:
         raise ValueError("grid density must be at least 1")
     _require_frame(r, f)
-    samples = _sample_points(r, f, grid_density)
-    labelled: Dict[RegionLabel, List[Point2]] = {lab: [] for lab in RegionLabel}
-    for p in samples:  # every sample lies in the frame
-        labelled[_label(r, p)].append(p)
-    boundaries = _boundary_sets(r, f)
+    d = grid_density
+    lo = f.lo
+    loops = (r.outer.points, r.inner.points)
+    den = lcm(*(c.denominator for p in (lo, f.hi, *loops[0], *loops[1]) for c in (p.x, p.y)))
+    # Even multiples of den, so edge midpoints are integers too.
+    s = 2 * den * max(d - 1, 1)
+
+    def scaled(p: Point2) -> Tuple[int, int]:
+        return (int((p.x - lo.x) * s), int((p.y - lo.y) * s))
+
+    width, height = scaled(f.hi)
+    if d == 1:
+        origin, step = (width // 2, height // 2), (width, height)
+    else:
+        origin, step = (0, 0), (width // (d - 1), height // (d - 1))
+    (ox, oy), (sx, sy) = origin, step
+    outer, inner = ([scaled(p) for p in loop] for loop in loops)
+
+    lox, loy = int(lo.x * s), int(lo.y * s)
+
+    def unscaled(x: int, y: int) -> Point2:
+        return Point2(Fraction(lox + x, s), Fraction(loy + y, s))
+
+    # runs[label] lists the lattice stretches (j, first, last) in sample order.
+    runs: Dict[RegionLabel, List[Tuple[int, int, int]]] = {lab: [] for lab in RegionLabel}
+    events = lattice_row_events((outer, inner), origin, step)
+    for j in range(d):
+        y = oy + j * sy
+        prev = -1
+        # Keys clipped to the lattice's columns: a ribbon built without
+        # make_ribbon may have an inner loop that leaves the frame.
+        for k in sorted({min(max(k, 0), 2 * d) for k in events.get(j, ())}):
+            first, last = (prev + 1) // 2, (k - 2) // 2
+            if first <= last:
+                # Left of a row's first event the row is outside both loops.
+                lab = RegionLabel.PI1_OUTSIDE if prev < 0 else _label(r, unscaled(ox + first * sx, y))
+                runs[lab].append((j, first, last))
+            if k & 1:
+                runs[_label(r, unscaled(ox + k // 2 * sx, y))].append((j, k // 2, k // 2))
+            prev = k
+        if (prev + 1) // 2 < d:  # and right of its last
+            runs[RegionLabel.PI1_OUTSIDE].append((j, (prev + 1) // 2, d - 1))
+
+    loop_samples = []
+    for loop in (outer, inner):
+        loop_samples += loop
+        loop_samples += [((ax + bx) // 2, (ay + by) // 2) for (ax, ay), (bx, by) in loop_segments(loop)]
+    loop_points = [unscaled(x, y) for x, y in loop_samples]
+    tail: Dict[RegionLabel, List[Tuple[int, int]]] = {lab: [] for lab in RegionLabel}
+    for p, q in zip(loop_points, loop_samples):
+        tail[_label(r, p)].append(q)
+
+    border = loop_segments([scaled(c) for c in f.corners()])
+    boundaries = {
+        RegionLabel.PI1_OUTSIDE: loop_segments(outer) + border,
+        RegionLabel.PI2_ANNULUS: loop_segments(outer) + loop_segments(inner),
+        RegionLabel.PI3_INNER: loop_segments(inner),
+    }
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
-        found = None
-        for p in labelled[lab]:
-            clearance = min(
-                segment_point_distance_sq(p, a, b) for a, b in boundaries[lab]
-            )
-            if clearance > 0:
-                found = (p, clearance)
-                break
-        witnesses[lab.value] = found
-    counts = {lab.value: len(labelled[lab]) for lab in RegionLabel}
+        segs = boundaries[lab]
+        lattice = (
+            (x, oy + j * sy)
+            for j, first, last in runs[lab]
+            for x in range(ox + first * sx, ox + last * sx + 1, sx)
+        )
+        # A sample's clearance is 0 exactly when it lies on a boundary segment.
+        q = next((q for q in chain(lattice, tail[lab]) if not _on_any(*q, segs)), None)
+        if q is None:
+            witnesses[lab.value] = None
+            continue
+        clearance = min(
+            segment_point_distance_sq(Point2(*q), Point2(*a), Point2(*b)) for a, b in segs
+        )
+        witnesses[lab.value] = (unscaled(*q), Fraction(clearance, s * s))
+    counts = {
+        lab.value: sum(last - first + 1 for _, first, last in runs[lab]) + len(tail[lab])
+        for lab in RegionLabel
+    }
+    # The lattice is monotone between its extreme corners.
+    corners = (unscaled(ox, oy), unscaled(ox + (d - 1) * sx, oy + (d - 1) * sy))
     return PartitionReport(
-        grid_density=grid_density,
-        total_points=len(samples),
+        grid_density=d,
+        total_points=d * d + len(loop_samples),
         label_counts=counts,
         each_point_single_label=True,  # _label returns exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
-        bounded=all(f.contains(p) for p in samples),
+        bounded=all(f.contains(p) for p in corners + tuple(loop_points)),
         witnesses=witnesses,
     )

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import NonSimplePolygon, TooFewVertices
 
@@ -245,6 +245,56 @@ class ScaledLoop:
         return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
+def _lattice_key(value: int, origin: int, step: int) -> int:
+    """Position of ``value`` among ``origin + i * step``.
+
+    The key is ``2i + 1`` when the value is lattice value ``i``, and ``2i``
+    when it lies strictly between lattice values ``i - 1`` and ``i``.
+    """
+    q, rem = divmod(value - origin, step)
+    return 2 * q + (2 if rem else 1)
+
+
+def lattice_row_events(
+    loops: Iterable[Sequence[Tuple[int, int]]], origin: Tuple[int, int], step: Tuple[int, int]
+) -> Dict[int, List[int]]:
+    """Where closed integer loops meet the rows of a lattice, as column keys.
+
+    Lattice point ``(i, j)`` sits at ``(ox + i * sx, oy + j * sy)`` for
+    ``origin = (ox, oy)`` and ``step = (sx, sy)``; loop vertices are
+    ``(x, y)`` pairs of ``int``.  ``events[j]`` holds the column key of each
+    point where an edge meets the line of row ``j``: one key for an edge
+    crossing or touching it, the keys of both endpoints for an edge lying
+    on it.  A key is ``2i + 1`` at column ``i`` and ``2i`` strictly between
+    columns ``i - 1`` and ``i``.  Between two consecutive keys of a row, the
+    row's line meets no loop except along an edge lying on it.
+    """
+    ox, oy = origin
+    sx, sy = step
+    events: Dict[int, List[int]] = {}
+    for loop in loops:
+        for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
+            if y1 == y2:
+                row = _lattice_key(y1, oy, sy)
+                if row & 1:
+                    events.setdefault(row // 2, []).extend(
+                        (_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx))
+                    )
+                continue
+            if y1 > y2:
+                x1, y1, x2, y2 = x2, y2, x1, y1
+            dy, dx = y2 - y1, x2 - x1
+            first, last = _lattice_key(y1, oy, sy) // 2, (_lattice_key(y2, oy, sy) - 1) // 2
+            # The edge meets row j at x = x1 + (oy + j * sy - y1) * dx / dy, whose
+            # key is that of _lattice_key from (x - ox) * dy = num in units sx * dy.
+            num, inc, unit = (x1 - ox) * dy + (oy + first * sy - y1) * dx, sy * dx, sx * dy
+            for j in range(first, last + 1):
+                q, rem = divmod(num, unit)
+                events.setdefault(j, []).append(2 * q + (2 if rem else 1))
+                num += inc
+    return events
+
+
 def point_in_polygon(
     p: Point2, loop: Sequence[Point2], *, assume_simple: bool = False
 ) -> PointLocation:
@@ -275,20 +325,23 @@ def vertex_centroid(points: Iterable[Point2]) -> Point2:
 
 
 def segment_point_distance_sq(p: Point2, a: Point2, b: Point2) -> Fraction:
-    """Exact squared distance from ``p`` to the closed segment ``ab``."""
+    """Exact squared distance from ``p`` to the closed segment ``ab``.
+
+    The foot of the perpendicular is clamped to the segment by comparing
+    the numerator of its parameter with the denominator, so ``int``
+    coordinates give an ``int`` or a :class:`Fraction`, never a float.
+    """
     abx, aby = b.x - a.x, b.y - a.y
     apx, apy = p.x - a.x, p.y - a.y
     den = abx * abx + aby * aby
-    if den == 0:
+    num = apx * abx + apy * aby
+    if den == 0 or num <= 0:
         return apx * apx + apy * apy
-    t = (apx * abx + apy * aby) / den
-    if t < 0:
-        t = Fraction(0)
-    elif t > 1:
-        t = Fraction(1)
-    dx = apx - t * abx
-    dy = apy - t * aby
-    return dx * dx + dy * dy
+    if num >= den:
+        bpx, bpy = p.x - b.x, p.y - b.y
+        return bpx * bpx + bpy * bpy
+    cross = apx * aby - apy * abx
+    return Fraction(cross * cross, den)
 
 
 def segment_segment_distance_sq(a: Point2, b: Point2, c: Point2, d: Point2) -> Fraction:

@@ -24,6 +24,7 @@ from .geometry import (
     Point2,
     bounding_box,
     cross_value,
+    lattice_row_events,
     segment_segment_distance_sq,
 )
 from .nerves import Region, SimplicialComplex, nerve
@@ -135,51 +136,6 @@ def _ceil_fraction(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
 
-def _half_pixel_key(num: int, unit: int) -> int:
-    """Position of ``num / unit`` among pixel centres, which sit at odd values.
-
-    The key is ``2i + 1`` when the value is the centre of pixel ``i``, and
-    ``2i`` when it lies strictly between the centres of pixels ``i - 1``
-    and ``i``.
-    """
-    q, rem = divmod(num, unit)
-    return q + 1 if rem and q & 1 else q
-
-
-def _row_keys(r: Region, frame: Frame, resolution: int) -> Dict[int, List[int]]:
-    """Where the boundary of ``r`` meets each row's centre line, as keys.
-
-    Coordinates are scaled once to integers, ``X = (x - lo.x) * s`` with
-    ``s = 2 * resolution * den`` and ``den`` the lcm of the denominators of
-    the region and the frame corner, so the centre of pixel column ``i``
-    is at ``X = (2i + 1) * den`` and that of row ``j`` at ``Y = (2j + 1) *
-    den``.  A segment crossing a centre line gives one key; a horizontal
-    segment on it gives the keys of both endpoints.
-    """
-    lo = frame.lo
-    pts = r.boundary_vertices()
-    den = lcm(lo.x.denominator, lo.y.denominator, *(c.denominator for p in pts for c in (p.x, p.y)))
-    s = 2 * resolution * den
-    keys: Dict[int, List[int]] = {}
-    for loop in r.loops + r.excluded:
-        scaled = [(int((p.x - lo.x) * s), int((p.y - lo.y) * s)) for p in loop]
-        for (x1, y1), (x2, y2) in zip(scaled, scaled[1:] + scaled[:1]):
-            if y1 == y2:
-                row = _half_pixel_key(y1, den)
-                if row & 1:
-                    keys.setdefault(row // 2, []).extend(
-                        (_half_pixel_key(x1, den), _half_pixel_key(x2, den))
-                    )
-                continue
-            if y1 > y2:
-                x1, y1, x2, y2 = x2, y2, x1, y1
-            dy, dx = y2 - y1, x2 - x1
-            for j in range(_half_pixel_key(y1, den) // 2, (_half_pixel_key(y2, den) - 1) // 2 + 1):
-                num = x1 * dy + ((2 * j + 1) * den - y1) * dx
-                keys.setdefault(j, []).append(_half_pixel_key(num, den * dy))
-    return keys
-
-
 def _merge_runs(runs: List[Run]) -> Tuple[Run, ...]:
     """Sorted maximal runs covering the same pixels."""
     out: List[Run] = []
@@ -213,8 +169,19 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
     # Every boundary lies in the frame, so every key is in [0, 2 * width]
     # and every row in [0, height): the runs need no clipping.
     row_runs: List[List[Run]] = [[] for _ in range(height)]
+    lo = frame.lo
     for r in regions:
-        for j, keys in _row_keys(r, frame, resolution).items():
+        # Scaled once to integers, X = (x - lo.x) * 2 * resolution * den with
+        # den the lcm of the denominators of the region and the frame corner,
+        # the centre of pixel (i, j) is at ((2i + 1) * den, (2j + 1) * den).
+        pts = r.boundary_vertices()
+        den = lcm(lo.x.denominator, lo.y.denominator, *(c.denominator for p in pts for c in (p.x, p.y)))
+        s = 2 * resolution * den
+        loops = [
+            [(int((p.x - lo.x) * s), int((p.y - lo.y) * s)) for p in loop]
+            for loop in r.loops + r.excluded
+        ]
+        for j, keys in lattice_row_events(loops, (den, den), (2 * den, 2 * den)).items():
             runs = row_runs[j]
             prev = None
             for k in sorted(set(keys)):

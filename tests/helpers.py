@@ -1,12 +1,14 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
 level-wise nerve enumerator, the per-pixel raster with its breadth-first
-counts, the unpruned clearance loop, the all-pairs CW intersection check
-and the unpruned simplicity and nesting tests."""
+counts, the unpruned clearance loop, the all-pairs CW intersection check,
+the unpruned simplicity and nesting tests and the per-sample partition
+check."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
 from random import Random
+from typing import Dict, List, Optional, Tuple
 
 from ribbonkit.complexes import (
     CellComplex,
@@ -20,6 +22,13 @@ from ribbonkit.complexes import (
     _realized_box,
     convex_clip,
 )
+from ribbonkit.division import (
+    Frame,
+    PartitionReport,
+    RegionLabel,
+    _label,
+    _require_frame,
+)
 from ribbonkit.errors import FrameTooSmall
 from ribbonkit.geometry import (
     Point2,
@@ -31,6 +40,7 @@ from ribbonkit.geometry import (
     point,
     polygon_area2,
     segment_intersection,
+    segment_point_distance_sq,
     segment_segment_distance_sq,
 )
 from ribbonkit.homology import Bitmap
@@ -553,3 +563,69 @@ def reference_is_nested(inner, outer) -> bool:
             if segment_intersection(a, b, c, d) is not None:
                 return False
     return True
+
+
+def _sample_points(r: Ribbon, f: Frame, grid_density: int) -> List[Point2]:
+    pts: List[Point2] = []
+    if grid_density == 1:
+        pts.append(Point2((f.lo.x + f.hi.x) / 2, (f.lo.y + f.hi.y) / 2))
+    else:
+        d = grid_density
+        wx = f.hi.x - f.lo.x
+        wy = f.hi.y - f.lo.y
+        xs = [f.lo.x + Fraction(i, d - 1) * wx for i in range(d)]
+        ys = [f.lo.y + Fraction(j, d - 1) * wy for j in range(d)]
+        pts.extend(Point2(x, y) for y in ys for x in xs)
+    for cycle in (r.outer, r.inner):
+        pts.extend(cycle.points)
+        for a, b in cycle.segments():
+            pts.append(Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
+    return pts
+
+
+def _boundary_sets(r: Ribbon, f: Frame):
+    outer = r.outer.segments()
+    inner = r.inner.segments()
+    return {
+        RegionLabel.PI1_OUTSIDE: outer + f.border_segments(),
+        RegionLabel.PI2_ANNULUS: outer + inner,
+        RegionLabel.PI3_INNER: inner,
+    }
+
+
+def reference_verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
+    """Classify a rational lattice plus loop vertices and edge midpoints.
+
+    The report records the per-label sample counts, whether all three
+    labels were realized, and for each label a sampled witness point whose
+    exact clearance to the label's boundary set is strictly positive.
+    """
+    if grid_density < 1:
+        raise ValueError("grid density must be at least 1")
+    _require_frame(r, f)
+    samples = _sample_points(r, f, grid_density)
+    labelled: Dict[RegionLabel, List[Point2]] = {lab: [] for lab in RegionLabel}
+    for p in samples:  # every sample lies in the frame
+        labelled[_label(r, p)].append(p)
+    boundaries = _boundary_sets(r, f)
+    witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
+    for lab in RegionLabel:
+        found = None
+        for p in labelled[lab]:
+            clearance = min(
+                segment_point_distance_sq(p, a, b) for a, b in boundaries[lab]
+            )
+            if clearance > 0:
+                found = (p, clearance)
+                break
+        witnesses[lab.value] = found
+    counts = {lab.value: len(labelled[lab]) for lab in RegionLabel}
+    return PartitionReport(
+        grid_density=grid_density,
+        total_points=len(samples),
+        label_counts=counts,
+        each_point_single_label=True,  # _label returns exactly one label
+        all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
+        bounded=all(f.contains(p) for p in samples),
+        witnesses=witnesses,
+    )

@@ -1,10 +1,12 @@
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from helpers import random_rect_ribbon, translate_ribbon
+from helpers import add_rect_loop, random_rect_ribbon, reference_verify_partition, translate_ribbon
 
 from ribbonkit import gallery
+from ribbonkit.complexes import CellComplex
 from ribbonkit.division import (
     Frame,
     RegionLabel,
@@ -12,8 +14,9 @@ from ribbonkit.division import (
     frame_around,
     verify_partition,
 )
-from ribbonkit.errors import FrameTooSmall, PointOutsideFrame
+from ribbonkit.errors import FrameTooSmall, PointOutsideFrame, RibbonError
 from ribbonkit.geometry import Point2, point
+from ribbonkit.ribbons import Ribbon, make_filled_cycle, make_ribbon
 
 
 def _ring_and_frame():
@@ -106,3 +109,126 @@ def test_random_ribbons_partition():
         report = verify_partition(r, f, 40)
         assert report.ok
         assert report.clearance_ok
+
+
+def _ribbon(outer, inner):
+    """A ribbon on two loops of ``(x, y)`` rationals, or None if they do not nest."""
+    k = CellComplex("P")
+    ids = {}
+    for name, loop in (("o", outer), ("i", inner)):
+        ids[name] = [k.add_vertex(f"{name}{n}", point(x, y)) for n, (x, y) in enumerate(loop)]
+    try:
+        return make_ribbon(
+            make_filled_cycle(k, ids["o"]), make_filled_cycle(k, ids["i"]), allow_concentric=True
+        )
+    except RibbonError:
+        return None
+
+
+def _with_collinear_extras(rng, x0, y0, x1, y1, extras):
+    """The rectangle's loop with ``extras`` more vertices along its sides."""
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    loop = []
+    for s in range(4):
+        (ax, ay), (bx, by) = corners[s], corners[(s + 1) % 4]
+        loop.append((ax, ay))
+        for t in sorted({Fraction(rng.randint(1, 11), 12) for _ in range(rng.randint(0, extras))}):
+            loop.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return loop
+
+
+def _star(rng, cx, cy, rmin, rmax, n):
+    """Loop of ``n`` vertices at increasing angles around ``(cx, cy)``."""
+    dirs = [(1, 0), (2, 1), (1, 1), (1, 2), (0, 1), (-1, 2), (-1, 1), (-2, 1),
+            (-1, 0), (-2, -1), (-1, -1), (-1, -2), (0, -1), (1, -2), (1, -1), (2, -1)]
+    loop = []
+    for i in sorted(rng.sample(range(16), n)):
+        r = Fraction(rng.randint(rmin * 3, rmax * 3), 3)
+        loop.append((cx + dirs[i][0] * r, cy + dirs[i][1] * r))
+    return loop
+
+
+def _dented(rng, x0, y0, x1, y1, floor):
+    """Rectangle with rectangular notches cut from its top down to ``floor`` at most."""
+    loop = [(x0, y0), (x1, y0), (x1, y1)]
+    cuts = sorted(rng.sample(range(x0 + 1, x1), 2 * rng.randint(1, (x1 - x0 - 1) // 2)), reverse=True)
+    for a, b in zip(cuts[::2], cuts[1::2]):
+        depth = rng.randint(1, y1 - floor)
+        loop += [(a, y1), (a, y1 - depth), (b, y1 - depth), (b, y1)]
+    return loop + [(x0, y1)]
+
+
+def _partition_cases():
+    """(ribbon, frame, grid density) triples of every kind the check meets."""
+    rng = Random(59)
+    densities = (1, 2, 3, 5, 7, 11, 13, 17)
+    margins = (1, 2, Fraction(1, 2), Fraction(5, 3), Fraction(7, 4))
+    for _ in range(30):
+        # rectangles with extra collinear vertices, integer and rational corners
+        q = rng.choice((1, 2, 3, 4))
+        x0, y0 = Fraction(rng.randint(-8, 8), q), Fraction(rng.randint(-8, 8), q)
+        w, h = rng.randint(6, 16), rng.randint(6, 16)
+        iw, ih = rng.randint(1, w - 4), rng.randint(1, h - 4)
+        ix, iy = rng.randint(1, w - iw - 1), rng.randint(1, h - ih - 1)
+        r = _ribbon(
+            _with_collinear_extras(rng, x0, y0, x0 + w, y0 + h, 4),
+            _with_collinear_extras(rng, x0 + ix, y0 + iy, x0 + ix + iw, y0 + iy + ih, 4),
+        )
+        yield r, frame_around(r, rng.choice(margins)), rng.choice(densities)
+    stars = 0
+    while stars < 30:
+        # star-shaped loops, inner and outer around nearby centres
+        c = (Fraction(rng.randint(-6, 6), rng.choice((1, 2, 5))), Fraction(rng.randint(-6, 6), 3))
+        outer = _star(rng, *c, 6, 9, rng.randint(5, 12))
+        inner = _star(rng, c[0] + rng.choice((0, Fraction(1, 2))), c[1], 1, 2, rng.randint(3, 8))
+        r = _ribbon(outer, inner)
+        if r is not None:
+            stars += 1
+            yield r, frame_around(r, rng.choice(margins)), rng.choice(densities)
+    dented = 0
+    while dented < 20:
+        # dented non-convex loops; a dent of the inner loop is hollow space
+        outer = _dented(rng, 0, 0, 14, 12, rng.randint(1, 7))
+        inner = _dented(rng, 4, 2, 10, 6, 3)
+        r = _ribbon(outer, inner)
+        if r is not None:
+            dented += 1
+            yield r, frame_around(r, rng.choice(margins)), rng.choice(densities)
+    for k in (1, 2):
+        # lattice-aligned: frame [-m, 14 + m]^2 and d - 1 = 2k(14 + 2m), so every
+        # integer and half-integer point is a lattice point; vertices and
+        # horizontal and vertical edges lie on lattice rows and columns.
+        for m in (1, 2, Fraction(1, 2)):
+            r = _ribbon(_dented(rng, 0, 0, 14, 14, 9), _dented(rng, 3, 2, 11, 8, 3))
+            yield r, frame_around(r, m), int(2 * k * (14 + 2 * m)) + 1
+    ribbons = [r for doc in gallery.sample_documents().values() for r in doc.ribbons.values()]
+    for n, r in enumerate(ribbons):
+        for d in (1, 2, 3, 13):
+            yield r, frame_around(r, 2), d
+        yield r, frame_around(r, Fraction(1, 3)), 31
+        if n % 6 == 0:  # the CLI test runs every golden ribbon at 120
+            yield r, frame_around(r, 2), 120
+    # an asymmetric frame with rational corners
+    r = gallery.two_hole_ribbon().ribbon
+    yield r, Frame(point("-37/10", "-5/2"), point("11/3", "19/7")), 120
+    # built without make_ribbon: the inner loop leaves the outer loop and the
+    # frame, to the right, to the left and below
+    k = CellComplex("K")
+    outer = make_filled_cycle(k, add_rect_loop(k, "o", 0, 0, 4, 4))
+    for n, corners in enumerate(((2, 1, 9, 3), (-5, 1, 2, 3), (1, -6, 3, 2))):
+        r = Ribbon(outer=outer, inner=make_filled_cycle(k, add_rect_loop(k, f"i{n}", *corners)))
+        for d in (1, 2, 5, 11, 40):
+            yield r, frame_around(r, 1), d
+
+
+def test_verify_partition_matches_reference():
+    kinds = set()
+    for r, f, d in _partition_cases():
+        want = reference_verify_partition(r, f, d)
+        got = verify_partition(r, f, d)
+        assert got.lines() == want.lines(), (r, f, d)
+        assert got == want
+        kinds.add(want.ok)
+        for w in want.witnesses.values():
+            kinds.add("witness" if w is not None else "none")
+    assert kinds == {True, False, "witness", "none"}

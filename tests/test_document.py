@@ -343,3 +343,34 @@ def test_cli_validate_stdout_is_byte_exact(stem, tmp_path, capsys):
     )
     code = main(["validate", str(path)])
     assert (code, capsys.readouterr().out) == VALIDATE_STDOUT[stem]
+
+
+# Exact `ribbonkit divide` stdout of every ribbon target of the golden
+# files at five grid densities, recorded before the row-scan labelling.
+DIVIDE_STDOUT = json.loads((GOLDEN / "divide_stdout.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("grid", ("1", "2", "15", "40", "120"))
+@pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.rcx")))
+def test_cli_divide_stdout_is_byte_exact(stem, grid, capsys):
+    path = GOLDEN / f"{stem}.rcx"
+    targets = DIVIDE_STDOUT.get(stem, {})
+    assert sorted(targets) == sorted(parse_document(path.read_text(encoding="utf-8")).ribbons)
+    for target, by_grid in targets.items():
+        assert main(["divide", str(path), "--target", target, "--grid", grid]) == 0
+        assert capsys.readouterr() == (by_grid[grid], "")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    (
+        (("--target", "ring", "--grid", "0"), ("ValueError", "grid density must be at least 1")),
+        (("--target", "inner", "--grid", "15"), ("RibbonError", "target 'inner' is not a ribbon")),
+        (("--target", "K", "--grid", "15"), ("RibbonError", "target 'K' is not a ribbon")),
+    ),
+)
+def test_cli_divide_error_exits(argv, error, capsys):
+    assert main(["divide", str(GOLDEN / "two_hole_ribbon.rcx"), *argv]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": error[0], "message": error[1]}

@@ -159,6 +159,48 @@ def _lattice_point(rng: Random, side: int, den: int) -> Point2:
     return Point2(Fraction(rng.randint(0, side * den), den), Fraction(rng.randint(0, side * den), den))
 
 
+def _exact(value) -> bool:
+    return isinstance(value, (int, Fraction))
+
+
+def _projection_distance_sq(p, a, b) -> Fraction:
+    """Squared distance to the clamped foot of the perpendicular, in Fractions."""
+    ab = (Fraction(b.x - a.x), Fraction(b.y - a.y))
+    ap = (Fraction(p.x - a.x), Fraction(p.y - a.y))
+    den = ab[0] ** 2 + ab[1] ** 2
+    t = min(max((ap[0] * ab[0] + ap[1] * ab[1]) / den, 0), 1) if den else 0
+    return (ap[0] - t * ab[0]) ** 2 + (ap[1] - t * ab[1]) ** 2
+
+
+def test_segment_distances_are_exact_on_ints():
+    got = segment_point_distance_sq(Point2(1, 1), Point2(0, 0), Point2(3, 1))
+    assert got == Fraction(2, 5) and _exact(got)
+    # Lattice ints give the values of the same points given as Fractions,
+    # with feet before, inside and past each end and degenerate segments.
+    rng = Random(43)
+    feet = set()
+    for _ in range(2000):
+        ints = [Point2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(4)]
+        fracs = [Point2(Fraction(p.x), Fraction(p.y)) for p in ints]
+        p, a, b, c = ints
+        want = _projection_distance_sq(p, a, b)
+        for q in (ints, fracs):
+            got = segment_point_distance_sq(*q[:3])
+            assert _exact(got) and got == want
+        t = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
+        den = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
+        feet.add("point" if den == 0 else "before" if t <= 0 else "past" if t >= den else "inside")
+        got = segment_segment_distance_sq(a, b, c, p)
+        assert _exact(got) and got == segment_segment_distance_sq(*fracs[1:], fracs[0])
+        meets = segment_intersection(a, b, c, p) is not None
+        assert (got == 0) is meets
+        if not meets:
+            assert got == min(
+                _projection_distance_sq(*q) for q in ((a, c, p), (b, c, p), (c, a, b), (p, a, b))
+            )
+    assert feet == {"point", "before", "inside", "past"}
+
+
 def test_segment_intersection_matches_division_form():
     # Small lattices give endpoint touches, T-junctions, collinear overlaps
     # and degenerate segments; int coordinates must give the same points.
