@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import cache
 from typing import List, Optional
 
 from .betti import betti_rb, betti_rb_vnrv, betti_rbnrv_vnrv, betti_rbx, betti_triple
@@ -196,8 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser serves every call of main; it is built on the first.
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaViolation as exc:

@@ -16,6 +16,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import DegenerateCell, UnknownCellId
 from .geometry import (
+    Lattice,
     Orientation,
     Point2,
     bounding_box,
@@ -38,10 +39,6 @@ class CellKind(Enum):
 class Cell:
     kind: CellKind
     vertex_ids: Tuple[str, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertex_ids) - 1
 
 
 class CellComplex:
@@ -320,22 +317,6 @@ def _containment_violations(k: CellComplex) -> List[str]:
     return out
 
 
-def _integer_coords(k: CellComplex) -> Tuple[int, Dict[str, Point2]]:
-    """The lcm ``L`` of all coordinate denominators, and every vertex of
-    ``k`` multiplied by ``L``, with ``int`` coordinates."""
-    scale = 1
-    for p in k.vertices.values():
-        scale = lcm(scale, p.x.denominator, p.y.denominator)
-    coords = {
-        vid: Point2(
-            p.x.numerator * (scale // p.x.denominator),
-            p.y.numerator * (scale // p.y.denominator),
-        )
-        for vid, p in k.vertices.items()
-    }
-    return scale, coords
-
-
 def _line_key(p: Point2, q: Point2) -> Tuple[int, int, int]:
     """Integer line ``a*x + b*y + c = 0`` through the distinct points ``p``
     and ``q``, divided by the gcd, with the first nonzero of ``a``, ``b``
@@ -446,7 +427,8 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     points in the report are scaled back.  Cell pairs come from a bucket
     grid over the cell boxes, in sorted-id order.
     """
-    scale, coords = _integer_coords(k)
+    lattice = Lattice(k.vertices.values())
+    coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
     realized = {}
     for cid, cell in k.cells.items():
         r = _realize(cell, coords)
@@ -459,7 +441,7 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     vertex_coords = {(p.x, p.y) for p in coords.values()}
 
     def unscaled(p: Point2) -> Point2:
-        return Point2(Fraction(p.x, scale), Fraction(p.y, scale))
+        return lattice.point(p.x, p.y)
 
     intersection: List[str] = []
     grid = _Buckets(boxes)

@@ -11,11 +11,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import lcm
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
-from .geometry import Point2, lattice_row_events, loop_segments, segment_point_distance_sq
+from .geometry import Lattice, Point2, lattice_row_runs, loop_segments, segment_point_distance_sq
 from .ribbons import Ribbon, RibbonMembership
 
 
@@ -156,15 +155,10 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
         raise ValueError("grid density must be at least 1")
     _require_frame(r, f)
     d = grid_density
-    lo = f.lo
     loops = (r.outer.points, r.inner.points)
-    den = lcm(*(c.denominator for p in (lo, f.hi, *loops[0], *loops[1]) for c in (p.x, p.y)))
-    # Even multiples of den, so edge midpoints are integers too.
-    s = 2 * den * max(d - 1, 1)
-
-    def scaled(p: Point2) -> Tuple[int, int]:
-        return (int((p.x - lo.x) * s), int((p.y - lo.y) * s))
-
+    # An even multiple of the lcm of the denominators, so edge midpoints are integers too.
+    lattice = Lattice((f.hi, *loops[0], *loops[1]), f.lo, 2 * max(d - 1, 1))
+    scaled, unscaled, s = lattice.ints, lattice.point, lattice.s
     width, height = scaled(f.hi)
     if d == 1:
         origin, step = (width // 2, height // 2), (width, height)
@@ -173,30 +167,16 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     (ox, oy), (sx, sy) = origin, step
     outer, inner = ([scaled(p) for p in loop] for loop in loops)
 
-    lox, loy = int(lo.x * s), int(lo.y * s)
-
-    def unscaled(x: int, y: int) -> Point2:
-        return Point2(Fraction(lox + x, s), Fraction(loy + y, s))
-
     # runs[label] lists the lattice stretches (j, first, last) in sample order.
     runs: Dict[RegionLabel, List[Tuple[int, int, int]]] = {lab: [] for lab in RegionLabel}
-    events = lattice_row_events((outer, inner), origin, step)
+    # A ribbon built without make_ribbon may have an inner loop that leaves
+    # the frame; the stretches are clipped to the lattice.
+    stretches = lattice_row_runs((outer, inner), origin, step, (d, d))
     for j in range(d):
         y = oy + j * sy
-        prev = -1
-        # Keys clipped to the lattice's columns: a ribbon built without
-        # make_ribbon may have an inner loop that leaves the frame.
-        for k in sorted({min(max(k, 0), 2 * d) for k in events.get(j, ())}):
-            first, last = (prev + 1) // 2, (k - 2) // 2
-            if first <= last:
-                # Left of a row's first event the row is outside both loops.
-                lab = RegionLabel.PI1_OUTSIDE if prev < 0 else _label(r, unscaled(ox + first * sx, y))
-                runs[lab].append((j, first, last))
-            if k & 1:
-                runs[_label(r, unscaled(ox + k // 2 * sx, y))].append((j, k // 2, k // 2))
-            prev = k
-        if (prev + 1) // 2 < d:  # and right of its last
-            runs[RegionLabel.PI1_OUTSIDE].append((j, (prev + 1) // 2, d - 1))
+        for first, last, decided in stretches.get(j, ((0, d - 1, False),)):
+            lab = _label(r, unscaled(ox + first * sx, y)) if decided else RegionLabel.PI1_OUTSIDE
+            runs[lab].append((j, first, last))
 
     loop_samples = []
     for loop in (outer, inner):
@@ -216,13 +196,13 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
         segs = boundaries[lab]
-        lattice = (
+        samples = (
             (x, oy + j * sy)
             for j, first, last in runs[lab]
             for x in range(ox + first * sx, ox + last * sx + 1, sx)
         )
         # A sample's clearance is 0 exactly when it lies on a boundary segment.
-        q = next((q for q in chain(lattice, tail[lab]) if not _on_any(*q, segs)), None)
+        q = next((q for q in chain(samples, tail[lab]) if not _on_any(*q, segs)), None)
         if q is None:
             witnesses[lab.value] = None
             continue

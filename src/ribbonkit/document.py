@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import Cell, CellComplex, CellKind
+from .complexes import CellComplex, CellKind
 from .errors import (
     NonCanonicalRational,
     RibbonError,

@@ -191,6 +191,36 @@ def boxes_meet(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
+class Lattice:
+    """Exact rescale of rational points to an integer lattice.
+
+    ``s`` is ``factor`` times the lcm of the coordinate denominators of
+    ``points`` and ``origin``, so :meth:`ints` maps each of those points
+    ``p`` to ``(p - origin) * s`` as a pair of ``int``; :meth:`point` is
+    its exact inverse.
+    """
+
+    __slots__ = ("s", "ox", "oy")
+
+    def __init__(self, points: Iterable[Point2], origin: Point2 = Point2(0, 0), factor: int = 1):
+        den = lcm(origin.x.denominator, origin.y.denominator)
+        for p in points:
+            den = lcm(den, p.x.denominator, p.y.denominator)
+        self.s = s = factor * den
+        self.ox = origin.x.numerator * (s // origin.x.denominator)
+        self.oy = origin.y.numerator * (s // origin.y.denominator)
+
+    def ints(self, p: Point2) -> Tuple[int, int]:
+        s = self.s
+        return (
+            p.x.numerator * (s // p.x.denominator) - self.ox,
+            p.y.numerator * (s // p.y.denominator) - self.oy,
+        )
+
+    def point(self, x, y) -> Point2:
+        return Point2(Fraction(x + self.ox, self.s), Fraction(y + self.oy, self.s))
+
+
 class ScaledLoop:
     """Polygon rescaled to integer coordinates for fast exact queries.
 
@@ -201,12 +231,9 @@ class ScaledLoop:
     __slots__ = ("den", "xs", "ys", "_scaled")
 
     def __init__(self, points: Sequence[Point2]):
-        den = 1
-        for p in points:
-            den = lcm(den, p.x.denominator, p.y.denominator)
-        self.den = den
-        self.xs = [p.x.numerator * (den // p.x.denominator) for p in points]
-        self.ys = [p.y.numerator * (den // p.y.denominator) for p in points]
+        lattice = Lattice(points)
+        self.den = lattice.s
+        self.xs, self.ys = map(list, zip(*map(lattice.ints, points)))
         # (k, xs * k, ys * k) for the last multiplier k > 1 a query needed;
         # successive queries usually share their denominators.
         self._scaled = (1, self.xs, self.ys)
@@ -255,28 +282,36 @@ def _lattice_key(value: int, origin: int, step: int) -> int:
     return 2 * q + (2 if rem else 1)
 
 
-def lattice_row_events(
-    loops: Iterable[Sequence[Tuple[int, int]]], origin: Tuple[int, int], step: Tuple[int, int]
-) -> Dict[int, List[int]]:
-    """Where closed integer loops meet the rows of a lattice, as column keys.
+def lattice_row_runs(
+    loops: Iterable[Sequence[Tuple[int, int]]],
+    origin: Tuple[int, int],
+    step: Tuple[int, int],
+    shape: Tuple[int, int],
+) -> Dict[int, List[Tuple[int, int, bool]]]:
+    """Split the rows of a lattice into stretches no loop boundary crosses.
 
     Lattice point ``(i, j)`` sits at ``(ox + i * sx, oy + j * sy)`` for
-    ``origin = (ox, oy)`` and ``step = (sx, sy)``; loop vertices are
-    ``(x, y)`` pairs of ``int``.  ``events[j]`` holds the column key of each
-    point where an edge meets the line of row ``j``: one key for an edge
-    crossing or touching it, the keys of both endpoints for an edge lying
-    on it.  A key is ``2i + 1`` at column ``i`` and ``2i`` strictly between
-    columns ``i - 1`` and ``i``.  Between two consecutive keys of a row, the
-    row's line meets no loop except along an edge lying on it.
+    ``origin = (ox, oy)``, ``step = (sx, sy)``, ``0 <= i < columns`` and
+    ``0 <= j < rows`` with ``shape = (columns, rows)``; loop vertices are
+    ``(x, y)`` pairs of ``int``.  For each row the closed loops meet,
+    ``runs[j]`` lists closed column stretches ``(first, last, decided)``
+    covering the row from left to right.  If ``decided``, every point of the
+    stretch lies inside, on or outside each loop as its first point does;
+    otherwise the stretch is left or right of every loop on the row.  The
+    rows missing from ``runs`` are outside every loop.
     """
     ox, oy = origin
     sx, sy = step
+    columns, rows = shape
+    # events[j] holds the column key of each point where an edge meets the
+    # line of row j: one key for an edge crossing or touching it, the keys
+    # of both endpoints for an edge lying on it.
     events: Dict[int, List[int]] = {}
     for loop in loops:
         for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
             if y1 == y2:
                 row = _lattice_key(y1, oy, sy)
-                if row & 1:
+                if row & 1 and 0 <= row // 2 < rows:
                     events.setdefault(row // 2, []).extend(
                         (_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx))
                     )
@@ -284,7 +319,8 @@ def lattice_row_events(
             if y1 > y2:
                 x1, y1, x2, y2 = x2, y2, x1, y1
             dy, dx = y2 - y1, x2 - x1
-            first, last = _lattice_key(y1, oy, sy) // 2, (_lattice_key(y2, oy, sy) - 1) // 2
+            first = max(_lattice_key(y1, oy, sy) // 2, 0)
+            last = min((_lattice_key(y2, oy, sy) - 1) // 2, rows - 1)
             # The edge meets row j at x = x1 + (oy + j * sy - y1) * dx / dy, whose
             # key is that of _lattice_key from (x - ox) * dy = num in units sx * dy.
             num, inc, unit = (x1 - ox) * dy + (oy + first * sy - y1) * dx, sy * dx, sx * dy
@@ -292,7 +328,26 @@ def lattice_row_events(
                 q, rem = divmod(num, unit)
                 events.setdefault(j, []).append(2 * q + (2 if rem else 1))
                 num += inc
-    return events
+    top = 2 * columns
+    runs: Dict[int, List[Tuple[int, int, bool]]] = {}
+    for j, keys in events.items():
+        keys = sorted(set(keys))
+        if keys[0] < 0 or keys[-1] > top:  # a loop leaves the lattice
+            keys = sorted({min(max(k, 0), top) for k in keys})
+        stretches = runs[j] = []
+        prev = -1
+        for k in keys:
+            # Columns strictly between two keys; left of the first key and
+            # right of the last the row is outside every loop.
+            first, last = (prev + 1) // 2, (k - 2) // 2
+            if first <= last:
+                stretches.append((first, last, prev >= 0))
+            if k & 1:
+                stretches.append((k // 2, k // 2, True))
+            prev = k
+        if (prev + 1) // 2 < columns:
+            stretches.append(((prev + 1) // 2, columns - 1, False))
+    return runs
 
 
 def point_in_polygon(

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .division import Frame
@@ -21,10 +20,11 @@ from .errors import (
     NotDownwardClosed,
 )
 from .geometry import (
+    Lattice,
     Point2,
     bounding_box,
     cross_value,
-    lattice_row_events,
+    lattice_row_runs,
     segment_segment_distance_sq,
 )
 from .nerves import Region, SimplicialComplex, nerve
@@ -122,14 +122,10 @@ class Bitmap:
         )
 
     def pixel_center(self, i: int, j: int) -> Point2:
-        return _center(self.frame, self.resolution, i, j)
-
-
-def _center(frame: Frame, resolution: int, i: int, j: int) -> Point2:
-    return Point2(
-        frame.lo.x + Fraction(2 * i + 1, 2 * resolution),
-        frame.lo.y + Fraction(2 * j + 1, 2 * resolution),
-    )
+        return Point2(
+            self.frame.lo.x + Fraction(2 * i + 1, 2 * self.resolution),
+            self.frame.lo.y + Fraction(2 * j + 1, 2 * self.resolution),
+        )
 
 
 def _ceil_fraction(x: Fraction) -> int:
@@ -166,32 +162,21 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
                 raise FrameTooSmall(f"region vertex {p} falls outside the frame")
     width = _ceil_fraction((frame.hi.x - frame.lo.x) * resolution)
     height = _ceil_fraction((frame.hi.y - frame.lo.y) * resolution)
-    # Every boundary lies in the frame, so every key is in [0, 2 * width]
-    # and every row in [0, height): the runs need no clipping.
     row_runs: List[List[Run]] = [[] for _ in range(height)]
-    lo = frame.lo
     for r in regions:
         # Scaled once to integers, X = (x - lo.x) * 2 * resolution * den with
         # den the lcm of the denominators of the region and the frame corner,
         # the centre of pixel (i, j) is at ((2i + 1) * den, (2j + 1) * den).
-        pts = r.boundary_vertices()
-        den = lcm(lo.x.denominator, lo.y.denominator, *(c.denominator for p in pts for c in (p.x, p.y)))
-        s = 2 * resolution * den
-        loops = [
-            [(int((p.x - lo.x) * s), int((p.y - lo.y) * s)) for p in loop]
-            for loop in r.loops + r.excluded
-        ]
-        for j, keys in lattice_row_events(loops, (den, den), (2 * den, 2 * den)).items():
+        lattice = Lattice(r.boundary_vertices(), frame.lo, 2 * resolution)
+        den = lattice.s // (2 * resolution)
+        loops = [[lattice.ints(p) for p in loop] for loop in r.loops + r.excluded]
+        stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))
+        for j, row in stretches.items():
             runs = row_runs[j]
-            prev = None
-            for k in sorted(set(keys)):
-                if prev is not None:
-                    first, last = (prev + 1) // 2, (k - 2) // 2  # centres strictly between
-                    if first <= last and r.contains(_center(frame, resolution, first, j)):
-                        runs.append((first, last))
-                if k & 1 and r.contains(_center(frame, resolution, k // 2, j)):
-                    runs.append((k // 2, k // 2))
-                prev = k
+            y = (2 * j + 1) * den
+            for first, last, decided in row:
+                if decided and r.contains(lattice.point((2 * first + 1) * den, y)):
+                    runs.append((first, last))
     rows = tuple(_merge_runs(runs) for runs in row_runs)
     return Bitmap(width=width, height=height, resolution=resolution, frame=frame, rows=rows)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import CollectionTooLarge, EmptyCollection, NonSimplePolygon
+from .errors import CollectionTooLarge, EmptyCollection
 from .geometry import (
     Point2,
     PointLocation,
@@ -35,7 +35,6 @@ from .geometry import (
     boxes_meet,
     loop_segments,
     segment_intersection,
-    simple_polygon,
     vertex_centroid,
 )
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
@@ -71,13 +70,6 @@ class Region:
             excluded=(r.inner.points,),
             label=label or r.label,
         )
-
-    @classmethod
-    def from_polygon(cls, pts: Sequence[Point2], label: str = "") -> "Region":
-        pts = tuple(pts)
-        if not simple_polygon(pts):
-            raise NonSimplePolygon("polygon region must be simple")
-        return cls(loops=(pts,), label=label)
 
     def contains(self, p: Point2) -> bool:
         b = self.bbox
@@ -194,10 +186,6 @@ class SimplicialComplex:
         return tuple(
             sorted((s for s in self.simplices if len(s) == d + 1), key=sorted)
         )
-
-    @property
-    def dimension(self) -> int:
-        return max((len(s) - 1 for s in self.simplices), default=-1)
 
 
 def nerve(regions: Sequence[Region]) -> SimplicialComplex:

@@ -10,7 +10,6 @@ from ribbonkit.complexes import (
     CellComplex,
     CellKind,
     _Buckets,
-    _integer_coords,
     _realize,
     _realized_box,
     boundary,
@@ -20,6 +19,7 @@ from ribbonkit.complexes import (
 )
 from ribbonkit.errors import DegenerateCell, UnknownCellId
 from ribbonkit.geometry import (
+    Lattice,
     Point2,
     PointLocation,
     point,
@@ -282,7 +282,9 @@ def _touching_on_bucket_boundary() -> CellComplex:
 
 def test_touching_boxes_case_sits_on_a_bucket_boundary():
     k = _touching_on_bucket_boundary()
-    scale, coords = _integer_coords(k)
+    lattice = Lattice(k.vertices.values())
+    scale = lattice.s
+    coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
     boxes = [_realized_box(_realize(cell, coords)) for cell in k.cells.values()]
     grid = _Buckets(boxes)
     assert (3 * scale - grid.x0) % grid.wx == 0 and 3 * scale > grid.x0

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ribbonkit import gallery
+from ribbonkit import cli, gallery
 from ribbonkit.cli import main
 from ribbonkit.complexes import CellComplex
 from ribbonkit.document import (
@@ -176,6 +176,23 @@ def test_cli_exit_codes(tmp_path, capsys):
     golden = str(GOLDEN / "two_hole_ribbon.rcx")
     assert main(["betti", golden, "--target", "missing"]) == 4
     capsys.readouterr()
+
+
+def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):
+    golden = str(GOLDEN / "two_hole_ribbon.rcx")
+    argv = ["divide", golden, "--target", "ring", "--grid", "15"]
+    first = (main(argv), capsys.readouterr().out)
+    assert first[0] == 0 and "ok=true" in first[1]
+
+    def rebuilt():
+        raise AssertionError("main rebuilt its parser")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    with pytest.raises(SystemExit) as exc:
+        main(["divide", golden, "--target", "ring", "--grid", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert (main(argv), capsys.readouterr().out) == first
 
 
 def test_cli_render_writes_identical_files(tmp_path, capsys):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -7,11 +8,13 @@ from helpers import reference_segment_intersection, reference_simple_polygon
 
 from ribbonkit.errors import NonSimplePolygon, TooFewVertices
 from ribbonkit.geometry import (
+    Lattice,
     Orientation,
     Point2,
     PointLocation,
     ScaledLoop,
     cross_value,
+    lattice_row_runs,
     loop_segments,
     on_segment,
     orientation,
@@ -251,6 +254,76 @@ def test_scaled_loop_classify_keeps_no_stale_rescale():
             assert got is _ray_classify(p, pts)
             seen.add(got)
     assert seen == set(PointLocation)
+
+
+def test_lattice_round_trips_points():
+    rng = Random(53)
+
+    def rational():
+        return Fraction(rng.randint(-5000, 5000), rng.randint(1, 1024))
+
+    for factor in (1, 2, 2 * 120):
+        for _ in range(60):
+            pts = [Point2(rational(), rational()) for _ in range(rng.randint(1, 5))]
+            pts.append(point(rng.randint(-9, 9), rng.randint(-9, 9)))
+            pts.append(Point2(rng.randint(-9, 9), rng.randint(-9, 9)))
+            origin = Point2(rational(), Fraction(rng.randint(1, 99), rng.randint(2, 60)))
+            lattice = Lattice(pts, origin, factor)
+            dens = [c.denominator for p in (origin, *pts) for c in (p.x, p.y)]
+            assert lattice.s == factor * lcm(*dens)
+            for p in (origin, *pts):
+                x, y = lattice.ints(p)
+                assert type(x) is int and type(y) is int
+                assert (x, y) == ((p.x - origin.x) * lattice.s, (p.y - origin.y) * lattice.s)
+                assert lattice.point(x, y) == p
+
+
+def test_lattice_row_runs_contract():
+    # Random integer loops, some leaving the lattice on the left, the right
+    # or both sides, and above or below it; half of the vertices sit on
+    # lattice points, so edges run along rows and through columns.
+    rng = Random(59)
+    seen, leaves = set(), set()
+    for _ in range(300):
+        columns, rows = rng.randint(1, 12), rng.randint(1, 12)
+        ox, oy, sx, sy = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 5), rng.randint(1, 5)
+        loops = []
+        for _ in range(rng.randint(1, 3)):
+            left, right = rng.choice(((0, 0), (4, 0), (0, 4), (4, 4)))
+            loop = []
+            for _ in range(rng.randint(3, 7)):
+                i, j = rng.randint(-left, columns - 1 + right), rng.randint(-2, rows + 1)
+                if rng.random() < 0.5:
+                    loop.append((ox + i * sx, oy + j * sy))
+                else:
+                    loop.append((ox + i * sx + rng.randrange(sx), oy + j * sy + rng.randrange(sy)))
+            loops.append(loop)
+        scaled = [ScaledLoop([Point2(x, y) for x, y in loop]) for loop in loops]
+
+        def where(i, j):
+            return tuple(s.classify(Point2(ox + i * sx, oy + j * sy)) for s in scaled)
+
+        outside = (PointLocation.OUTSIDE,) * len(loops)
+        runs = lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
+        assert set(runs) <= set(range(rows))
+        for j in range(rows):
+            row = runs.get(j)
+            if row is None:
+                assert all(where(i, j) == outside for i in range(columns))
+                continue
+            assert [i for first, last, _ in row for i in range(first, last + 1)] == list(range(columns))
+            for first, last, decided in row:
+                assert first <= last
+                want = where(first, j) if decided else outside
+                assert all(where(i, j) == want for i in range(first, last + 1))
+                seen.update(want)
+                if decided and PointLocation.INSIDE in want:
+                    # A loop holding an end column leaves the lattice there.
+                    if first == 0:
+                        leaves.add("left")
+                    if last == columns - 1:
+                        leaves.add("right")
+    assert seen == set(PointLocation) and leaves == {"left", "right"}
 
 
 def test_simple_polygon_matches_unpruned_reference():
