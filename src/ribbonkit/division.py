@@ -14,7 +14,14 @@ from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
-from .geometry import Lattice, Point2, lattice_row_runs, loop_segments, segment_point_distance_sq
+from .geometry import (
+    Lattice,
+    Point2,
+    lattice_row_runs,
+    loop_segments,
+    segment_point_distance_sq,
+    to_fraction,
+)
 from .ribbons import Ribbon, RibbonMembership
 
 
@@ -55,7 +62,7 @@ class Frame:
 def frame_around(r: Ribbon, margin) -> Frame:
     """Axis-aligned frame enclosing the ribbon with the given margin."""
     pts = r.outer.points
-    m = Fraction(margin)
+    m = to_fraction(margin)
     return Frame(
         Point2(min(p.x for p in pts) - m, min(p.y for p in pts) - m),
         Point2(max(p.x for p in pts) + m, max(p.y for p in pts) + m),

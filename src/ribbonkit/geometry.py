@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import NonSimplePolygon, TooFewVertices
 
@@ -155,27 +155,19 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
     Adjacent edges may meet only in their shared vertex; non-adjacent
     edges may not meet at all, and vertices must be pairwise distinct.
     """
-    if len(loop) < 3:
-        raise TooFewVertices(f"a polygon needs at least 3 vertices, got {len(loop)}")
-    if len({_lex(p) for p in loop}) != len(loop):
+    n = len(loop)
+    if n < 3:
+        raise TooFewVertices(f"a polygon needs at least 3 vertices, got {n}")
+    if len({_lex(p) for p in loop}) != n:
         return False
-    segs = loop_segments(loop)
-    boxes = [bounding_box(seg) for seg in segs]
-    n = len(segs)
+    segs = boxed_segments(loop)
     for i in range(n):
-        a1, a2 = segs[i]
-        if a1 == a2:
+        # Edges p-q and q-r overlap iff r folds back onto p's side of q.
+        p, q, r = loop[i - 1], loop[i], loop[(i + 1) % n]
+        folds = cross_value(p, q, r) == 0 and (p.x - q.x) * (r.x - q.x) + (p.y - q.y) * (r.y - q.y) > 0
+        # Edge i against the later edges that are not next to it.
+        if folds or next(segment_meetings(segs[i : i + 1], segs[i + 2 : i + n - 1]), None):
             return False
-        for j in range(i + 1, n):
-            b1, b2 = segs[j]
-            if j == i + 1:
-                if segment_intersection(a1, a2, b1, b2) != ("point", a2):
-                    return False
-            elif i == 0 and j == n - 1:
-                if segment_intersection(a1, a2, b1, b2) != ("point", a1):
-                    return False
-            elif boxes_meet(boxes[i], boxes[j]) and segment_intersection(a1, a2, b1, b2) is not None:
-                return False
     return True
 
 
@@ -189,6 +181,23 @@ def bounding_box(points: Iterable[Point2]) -> Tuple[Fraction, Fraction, Fraction
 def boxes_meet(a, b) -> bool:
     """The closed boxes ``(xmin, ymin, xmax, ymax)`` share a point."""
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
+
+
+def boxed_segments(*loops: Sequence[Point2]) -> list:
+    """The edges of each closed loop in turn, as ``(a, b, box)`` triples."""
+    return [(a, b, bounding_box((a, b))) for loop in loops for a, b in loop_segments(loop)]
+
+
+def segment_meetings(first: list, second: list) -> Iterator[tuple]:
+    """``(i, j, meet)`` in row-major order for each ``first[i]`` meeting
+    ``second[j]`` in ``meet``, their :func:`segment_intersection`; both lists
+    come from :func:`boxed_segments`, and pairs with disjoint boxes are skipped."""
+    for i, (a, b, box1) in enumerate(first):
+        for j, (c, d, box2) in enumerate(second):
+            if boxes_meet(box1, box2):
+                meet = segment_intersection(a, b, c, d)
+                if meet is not None:
+                    yield i, j, meet
 
 
 class Lattice:

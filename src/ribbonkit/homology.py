@@ -23,6 +23,7 @@ from .geometry import (
     Lattice,
     Point2,
     bounding_box,
+    boxed_segments,
     cross_value,
     lattice_row_runs,
     segment_segment_distance_sq,
@@ -279,7 +280,7 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     """
     best: Optional[Fraction] = None
     boxes = [bounding_box(r.boundary_vertices()) for r in regions]
-    segments = [[(a, b, bounding_box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    segments = [boxed_segments(*r.loops, *r.excluded) for r in regions]
     for i, segs1 in enumerate(segments):
         for j in range(i + 1, len(regions)):
             if best is not None and _box_gap_sq(boxes[i], boxes[j]) >= best:

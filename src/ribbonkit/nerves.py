@@ -32,9 +32,10 @@ from .geometry import (
     PointLocation,
     ScaledLoop,
     bounding_box,
+    boxed_segments,
     boxes_meet,
     loop_segments,
-    segment_intersection,
+    segment_meetings,
     vertex_centroid,
 )
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
@@ -120,22 +121,16 @@ def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
     for r in regions:
         for p in r.boundary_vertices():
             push(p)
-    segments = [[(a, b, bounding_box((a, b))) for a, b in r.boundary_segments()] for r in regions]
+    segments = [boxed_segments(*r.loops, *r.excluded) for r in regions]
     boxes = [bounding_box(r.boundary_vertices()) for r in regions]
     for i, segs1 in enumerate(segments):
         for j in range(i + 1, len(regions)):
             if not boxes_meet(boxes[i], boxes[j]):
                 continue
-            for a, b, box1 in segs1:
-                for c, d, box2 in segments[j]:
-                    if not boxes_meet(box1, box2):
-                        continue
-                    inter = segment_intersection(a, b, c, d)
-                    if inter is None:
-                        continue
-                    push(inter[1])
-                    if inter[0] == "segment":
-                        push(inter[2])
+            for _, _, inter in segment_meetings(segs1, segments[j]):
+                push(inter[1])
+                if inter[0] == "segment":
+                    push(inter[2])
     for r in regions:
         for p in r.interior_samples():
             push(p)

@@ -27,10 +27,9 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
-    bounding_box,
-    boxes_meet,
+    boxed_segments,
     loop_segments,
-    segment_intersection,
+    segment_meetings,
     simple_polygon,
     vertex_centroid,
 )
@@ -87,13 +86,8 @@ def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
     for p in inner.points:
         if outer.locate(p) is not PointLocation.INSIDE:
             return False
-    outer_segments = [(c, d, bounding_box((c, d))) for c, d in outer.segments()]
-    for a, b in inner.segments():
-        box = bounding_box((a, b))
-        for c, d, outer_box in outer_segments:
-            if boxes_meet(box, outer_box) and segment_intersection(a, b, c, d) is not None:
-                return False
-    return True
+    meetings = segment_meetings(boxed_segments(inner.points), boxed_segments(outer.points))
+    return next(meetings, None) is None
 
 
 def is_concentric(a: FilledCycle, b: FilledCycle) -> bool:
@@ -151,12 +145,6 @@ class Ribbon:
             return RibbonMembership.IN_RIBBON
         return RibbonMembership.OUTSIDE
 
-    def contains(self, p: Point2) -> bool:
-        return self.membership(p) not in (
-            RibbonMembership.OUTSIDE,
-            RibbonMembership.IN_REMOVED_INTERIOR,
-        )
-
     def __repr__(self) -> str:
         return f"Ribbon({self.label or 'unnamed'})"
 
@@ -177,12 +165,10 @@ def _check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Filament) -
     k = r_outer.complex
     fa = k.vertices[fil.outer_vertex]
     fb = k.vertices[fil.inner_vertex]
+    filament = boxed_segments((fa, fb))[:1]  # fa-fb, not the closing fb-fa
     for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
-        for a, b in cycle.segments():
-            inter = segment_intersection(fa, fb, a, b)
-            if inter is None:
-                continue
-            if inter != ("point", endpoint):
+        for _, _, meet in segment_meetings(filament, boxed_segments(cycle.points)):
+            if meet != ("point", endpoint):
                 raise FilamentEndpointOffBoundary(
                     f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} crosses a cycle boundary"
                 )

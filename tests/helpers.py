@@ -2,8 +2,8 @@
 and the implementations replaced by faster ones, kept as references: the
 level-wise nerve enumerator, the per-pixel raster with its breadth-first
 counts, the unpruned clearance loop, the all-pairs CW intersection check,
-the unpruned simplicity and nesting tests and the per-sample partition
-check."""
+the unpruned simplicity, nesting and filament tests and the per-sample
+partition check."""
 from collections import deque
 from fractions import Fraction
 from itertools import combinations
@@ -29,7 +29,7 @@ from ribbonkit.division import (
     _label,
     _require_frame,
 )
-from ribbonkit.errors import FrameTooSmall
+from ribbonkit.errors import FilamentEndpointOffBoundary, FrameTooSmall
 from ribbonkit.geometry import (
     Point2,
     PointLocation,
@@ -47,6 +47,7 @@ from ribbonkit.homology import Bitmap
 from ribbonkit.nerves import Region, SimplicialComplex
 from ribbonkit.ribbons import (
     Filament,
+    FilledCycle,
     Hole,
     Ribbon,
     make_filled_cycle,
@@ -563,6 +564,38 @@ def reference_is_nested(inner, outer) -> bool:
             if segment_intersection(a, b, c, d) is not None:
                 return False
     return True
+
+
+def reference_check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Filament) -> None:
+    """Filament check with the filament intersected with every cycle segment."""
+    if fil.outer_vertex not in r_outer.loop:
+        raise FilamentEndpointOffBoundary(
+            f"filament endpoint {fil.outer_vertex!r} is not on the outer loop"
+        )
+    if fil.inner_vertex not in r_inner.loop:
+        raise FilamentEndpointOffBoundary(
+            f"filament endpoint {fil.inner_vertex!r} is not on the inner loop"
+        )
+    k = r_outer.complex
+    fa = k.vertices[fil.outer_vertex]
+    fb = k.vertices[fil.inner_vertex]
+    for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
+        for a, b in cycle.segments():
+            inter = segment_intersection(fa, fb, a, b)
+            if inter is None:
+                continue
+            if inter != ("point", endpoint):
+                raise FilamentEndpointOffBoundary(
+                    f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} crosses a cycle boundary"
+                )
+    mid = Point2((fa.x + fb.x) / 2, (fa.y + fb.y) / 2)
+    if (
+        r_outer.locate(mid) is not PointLocation.INSIDE
+        or r_inner.locate(mid) is not PointLocation.OUTSIDE
+    ):
+        raise FilamentEndpointOffBoundary(
+            f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} leaves the ribbon annulus"
+        )
 
 
 def _sample_points(r: Ribbon, f: Frame, grid_density: int) -> List[Point2]:

@@ -232,3 +232,15 @@ def test_verify_partition_matches_reference():
         for w in want.witnesses.values():
             kinds.add("witness" if w is not None else "none")
     assert kinds == {True, False, "witness", "none"}
+
+
+def test_frame_around_takes_exact_margins_only():
+    r = gallery.two_hole_ribbon().ribbon
+    for margins in ((2, "2", Fraction(2), 2.0), ("1/4", 0.25, Fraction(1, 4))):
+        frames = {frame_around(r, m) for m in margins}
+        assert len(frames) == 1
+        (f,) = frames
+        m = Fraction(margins[-1])
+        assert f.lo == Point2(min(p.x for p in r.outer.points) - m, min(p.y for p in r.outer.points) - m)
+    with pytest.raises(ValueError):
+        frame_around(r, 0.1)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -13,6 +14,7 @@ from ribbonkit.geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    boxed_segments,
     cross_value,
     lattice_row_runs,
     loop_segments,
@@ -21,6 +23,7 @@ from ribbonkit.geometry import (
     point,
     point_in_polygon,
     segment_intersection,
+    segment_meetings,
     segment_point_distance_sq,
     segment_segment_distance_sq,
     simple_polygon,
@@ -347,3 +350,51 @@ def test_simple_polygon_matches_unpruned_reference():
         assert simple_polygon(loop) is want
         outcomes.append(want)
     assert 100 < sum(outcomes) < 500
+
+
+def _meeting_kind(a, b, box1, c, d, box2, meet) -> str:
+    if meet is None:
+        # Boxes sharing exactly one point touch at a corner.
+        xs = (max(box1[0], box2[0]), min(box1[2], box2[2]))
+        ys = (max(box1[1], box2[1]), min(box1[3], box2[3]))
+        return "corner" if xs[0] == xs[1] and ys[0] == ys[1] else "apart"
+    if meet[0] == "segment":
+        return "overlap"
+    ends = (meet[1] in (a, b)) + (meet[1] in (c, d))
+    return ("crossing", "t_junction", "shared_endpoint")[ends]
+
+
+def test_segment_meetings_contract():
+    # Loops through a coarse grid of one denominator, so shared endpoints,
+    # collinear overlaps, T-junctions and boxes touching only at a corner
+    # are common, and every fourth case through points whose coordinates
+    # have their own denominators up to 1024.
+    rng = Random(47)
+    kinds = Counter()
+
+    def coordinate(case, den):
+        if case % 4 == 0:
+            den = rng.randint(1, 1024)
+            return Fraction(rng.randint(0, 4 * den), den)
+        return Fraction(rng.randint(0, 4), den)
+
+    for case in range(400):
+        den = rng.choice((1, 3, 1024))
+        lists = [
+            boxed_segments(
+                *(
+                    [Point2(coordinate(case, den), coordinate(case, den)) for _ in range(rng.randint(2, 5))]
+                    for _ in range(rng.randint(1, 3))
+                )
+            )
+            for _ in range(2)
+        ]
+        want = []
+        for i, (a, b, box1) in enumerate(lists[0]):
+            for j, (c, d, box2) in enumerate(lists[1]):
+                meet = segment_intersection(a, b, c, d)
+                kinds[_meeting_kind(a, b, box1, c, d, box2, meet)] += 1
+                if meet is not None:
+                    want.append((i, j, meet))
+        assert list(segment_meetings(*lists)) == want
+    assert min(kinds.values()) > 20 and len(kinds) == 6, kinds

@@ -1,4 +1,5 @@
 import ast
+from collections import Counter
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ribbonkit"
@@ -25,3 +26,26 @@ def test_no_unused_imports():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused.update(f"{path.stem}.{name}" for name in imported - used)
     assert unused == ALLOWED
+
+
+def _referenced_names(node) -> Counter:
+    return Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    )
+
+
+def test_no_unreferenced_private_definitions():
+    # A module-level _name def or class that nothing outside its own body
+    # refers to is dead code, e.g. a helper left behind by a refactor.
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    everywhere = sum(map(_referenced_names, trees), Counter())
+    private = [
+        node
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    unreferenced = [d.name for d in private if everywhere[d.name] == _referenced_names(d)[d.name]]
+    assert len(private) > 0 and unreferenced == []

@@ -1,9 +1,16 @@
+from collections import Counter
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from helpers import add_rect_loop, random_rect_ribbon, reference_is_nested, translate_ribbon
+from helpers import (
+    add_rect_loop,
+    random_rect_ribbon,
+    reference_check_filament,
+    reference_is_nested,
+    translate_ribbon,
+)
 
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
@@ -15,11 +22,20 @@ from ribbonkit.errors import (
     NotNested,
     TooFewCycles,
 )
-from ribbonkit.geometry import Point2, PointLocation, point, point_in_polygon, simple_polygon
+from ribbonkit.geometry import (
+    Point2,
+    PointLocation,
+    on_segment,
+    point,
+    point_in_polygon,
+    segment_intersection,
+    simple_polygon,
+)
 from ribbonkit.ribbons import (
     Filament,
     RibbonMembership,
     VortexNerve,
+    _check_filament,
     is_concentric,
     is_nested,
     make_filled_cycle,
@@ -302,3 +318,61 @@ def test_is_nested_matches_unpruned_reference():
         )
     assert 40 < sum(outcomes) < 360
     assert edge_decided >= 8
+
+
+def _rect_cycle_with_extras(rng: Random, k: CellComplex, prefix: str, x0, y0, x1, y1):
+    """Axis-aligned rectangle loop with up to two extra lattice vertices on
+    each edge."""
+    corners = [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+    pts = []
+    for (ax, ay), (bx, by) in zip(corners, corners[1:] + corners[:1]):
+        pts.append((ax, ay))
+        steps = abs(bx - ax) + abs(by - ay)
+        for t in sorted(rng.sample(range(1, steps), rng.randint(0, min(2, steps - 1)))):
+            pts.append((ax + (bx - ax) * t // steps, ay + (by - ay) * t // steps))
+    ids = [k.add_vertex(f"{prefix}{n}", point(x, y)) for n, (x, y) in enumerate(pts)]
+    return make_filled_cycle(k, ids, prefix)
+
+
+def _filament_outcome(check, outer, inner, fil):
+    try:
+        check(outer, inner, fil)
+    except Exception as exc:  # the type and message are compared
+        return (type(exc), str(exc))
+    return None
+
+
+def test_check_filament_matches_unpruned_reference():
+    # Extra vertices on the rectangle edges line filaments up with edges and
+    # vertices, so they cross a loop, run along an edge, pass through a
+    # third vertex or are valid; a few name a vertex of the wrong loop.
+    rng = Random(43)
+    seen = Counter()
+    for case in range(200):
+        k = CellComplex(f"F{case}")
+        x0, y0 = rng.randint(-6, 0), rng.randint(-6, 0)
+        x1, y1 = x0 + rng.randint(6, 9), y0 + rng.randint(6, 9)
+        outer = _rect_cycle_with_extras(rng, k, "o", x0, y0, x1, y1)
+        gaps = [rng.randint(1, 2) for _ in range(4)]
+        inner = _rect_cycle_with_extras(
+            rng, k, "i", x0 + gaps[0], y0 + gaps[1], x1 - gaps[2], y1 - gaps[3]
+        )
+        loop_points = outer.points + inner.points
+        for _ in range(6):
+            fil = Filament(
+                rng.choice(outer.loop + inner.loop[:1]), rng.choice(inner.loop + outer.loop[:1])
+            )
+            want = _filament_outcome(reference_check_filament, outer, inner, fil)
+            assert _filament_outcome(_check_filament, outer, inner, fil) == want
+            seen[want[1].split(" ", 2)[-1] if want else "valid"] += 1  # message past the filament
+            if fil.outer_vertex in outer.loop and fil.inner_vertex in inner.loop:
+                fa, fb = k.vertices[fil.outer_vertex], k.vertices[fil.inner_vertex]
+                seen["along an edge"] += any(
+                    (segment_intersection(fa, fb, a, b) or ("",))[0] == "segment"
+                    for cycle in (outer, inner)
+                    for a, b in cycle.segments()
+                )
+                seen["through a third vertex"] += any(
+                    p not in (fa, fb) and on_segment(p, fa, fb) for p in loop_points
+                )
+    assert min(seen.values()) > 20 and len(seen) == 6, seen
