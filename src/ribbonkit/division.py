@@ -83,6 +83,11 @@ _LABEL_OF = {
     RibbonMembership.OUTSIDE: RegionLabel.PI1_OUTSIDE,
 }
 
+# The label by the loops a point is in or on: bit 1 the outer, bit 2 the inner.
+_LABEL_OF_MASK = (
+    RegionLabel.PI1_OUTSIDE, RegionLabel.PI2_ANNULUS, RegionLabel.PI3_INNER, RegionLabel.PI3_INNER
+)
+
 
 def _label(r: Ribbon, p: Point2) -> RegionLabel:
     """The region label of ``p``, for a frame already checked to hold ``r``."""
@@ -153,10 +158,9 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     positive, with that clearance.
 
     The frame and the loops are scaled once to integers, so lattice point
-    ``(i, j)`` sits at ``origin + (i, j) * step``.  Along a lattice row the
-    label can change only where a loop meets the row, so each stretch of
-    columns between two consecutive events takes the label of its first
-    point, and a point exactly on an event is labelled on its own.
+    ``(i, j)`` sits at ``origin + (i, j) * step``; :func:`lattice_row_runs`
+    gives each stretch of a lattice row the loops it is in or on, and
+    those decide its label as :func:`_label` decides a point's.
     """
     if grid_density < 1:
         raise ValueError("grid density must be at least 1")
@@ -180,10 +184,8 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     # the frame; the stretches are clipped to the lattice.
     stretches = lattice_row_runs((outer, inner), origin, step, (d, d))
     for j in range(d):
-        y = oy + j * sy
-        for first, last, decided in stretches.get(j, ((0, d - 1, False),)):
-            lab = _label(r, unscaled(ox + first * sx, y)) if decided else RegionLabel.PI1_OUTSIDE
-            runs[lab].append((j, first, last))
+        for first, last, inside, on in stretches.get(j, ((0, d - 1, 0, 0),)):
+            runs[_LABEL_OF_MASK[inside | on]].append((j, first, last))
 
     loop_samples = []
     for loop in (outer, inner):
@@ -227,7 +229,7 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
         grid_density=d,
         total_points=d * d + len(loop_samples),
         label_counts=counts,
-        each_point_single_label=True,  # _label returns exactly one label
+        each_point_single_label=True,  # each sample gets exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
         bounded=all(f.contains(p) for p in corners + tuple(loop_points)),
         witnesses=witnesses,

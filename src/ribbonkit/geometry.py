@@ -9,7 +9,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import groupby
 from math import lcm
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import NonSimplePolygon, TooFewVertices
@@ -237,29 +239,21 @@ class ScaledLoop:
     point classification only needs integer arithmetic.
     """
 
-    __slots__ = ("den", "xs", "ys", "_scaled")
+    __slots__ = ("den", "xs", "ys")
 
     def __init__(self, points: Sequence[Point2]):
         lattice = Lattice(points)
         self.den = lattice.s
         self.xs, self.ys = map(list, zip(*map(lattice.ints, points)))
-        # (k, xs * k, ys * k) for the last multiplier k > 1 a query needed;
-        # successive queries usually share their denominators.
-        self._scaled = (1, self.xs, self.ys)
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
         k = m // self.den
         px = p.x.numerator * (m // p.x.denominator)
         py = p.y.numerator * (m // p.y.denominator)
-        if k == 1:
-            xs, ys = self.xs, self.ys
-        else:
-            scaled = self._scaled
-            if scaled[0] != k:
-                scaled = (k, [x * k for x in self.xs], [y * k for y in self.ys])
-                self._scaled = scaled
-            xs, ys = scaled[1], scaled[2]
+        xs, ys = self.xs, self.ys
+        if k > 1:
+            xs, ys = [x * k for x in xs], [y * k for y in ys]
         inside = False
         x1, y1 = xs[-1], ys[-1]
         for x2, y2 in zip(xs, ys):
@@ -296,33 +290,38 @@ def lattice_row_runs(
     origin: Tuple[int, int],
     step: Tuple[int, int],
     shape: Tuple[int, int],
-) -> Dict[int, List[Tuple[int, int, bool]]]:
+) -> Dict[int, List[Tuple[int, int, int, int]]]:
     """Split the rows of a lattice into stretches no loop boundary crosses.
 
     Lattice point ``(i, j)`` sits at ``(ox + i * sx, oy + j * sy)`` for
     ``origin = (ox, oy)``, ``step = (sx, sy)``, ``0 <= i < columns`` and
     ``0 <= j < rows`` with ``shape = (columns, rows)``; loop vertices are
     ``(x, y)`` pairs of ``int``.  For each row the closed loops meet,
-    ``runs[j]`` lists closed column stretches ``(first, last, decided)``
-    covering the row from left to right.  If ``decided``, every point of the
-    stretch lies inside, on or outside each loop as its first point does;
-    otherwise the stretch is left or right of every loop on the row.  The
-    rows missing from ``runs`` are outside every loop.
+    ``runs[j]`` lists closed column stretches ``(first, last, inside, on)``
+    covering the row from left to right.  Bit ``b`` of the masks is loop
+    ``b``: every point of the stretch lies on that loop if it is set in
+    ``on``, strictly inside it if set in ``inside``, and outside it if set
+    in neither, as :meth:`ScaledLoop.classify` finds.  The rows missing
+    from ``runs`` are outside every loop.
     """
     ox, oy = origin
     sx, sy = step
     columns, rows = shape
-    # events[j] holds the column key of each point where an edge meets the
-    # line of row j: one key for an edge crossing or touching it, the keys
-    # of both endpoints for an edge lying on it.
-    events: Dict[int, List[int]] = {}
-    for loop in loops:
+    top = 2 * columns
+    # events[j] holds (key, flip, on), keyed as by _lattice_key, for each
+    # lattice column an edge lying on row j covers and each point where another
+    # edge meets the row's line; ``flip`` has the loop's bit when that edge
+    # crosses by the half-open rule of ScaledLoop.classify: y1 <= y < y2.
+    events: Dict[int, List[Tuple[int, int, int]]] = {}
+    for b, loop in enumerate(loops):
+        bit = 1 << b
         for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
             if y1 == y2:
                 row = _lattice_key(y1, oy, sy)
                 if row & 1 and 0 <= row // 2 < rows:
+                    lo, hi = sorted((_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx)))
                     events.setdefault(row // 2, []).extend(
-                        (_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx))
+                        (k, 0, bit) for k in range(max(lo | 1, 1), min(hi, top - 1) + 1, 2)
                     )
                 continue
             if y1 > y2:
@@ -335,27 +334,27 @@ def lattice_row_runs(
             num, inc, unit = (x1 - ox) * dy + (oy + first * sy - y1) * dx, sy * dx, sx * dy
             for j in range(first, last + 1):
                 q, rem = divmod(num, unit)
-                events.setdefault(j, []).append(2 * q + (2 if rem else 1))
+                # Keys off the lattice keep their flips at its two ends.
+                key = min(max(2 * q + (2 if rem else 1), 0), top)
+                events.setdefault(j, []).append((key, bit if oy + j * sy < y2 else 0, bit))
                 num += inc
-    top = 2 * columns
-    runs: Dict[int, List[Tuple[int, int, bool]]] = {}
-    for j, keys in events.items():
-        keys = sorted(set(keys))
-        if keys[0] < 0 or keys[-1] > top:  # a loop leaves the lattice
-            keys = sorted({min(max(k, 0), top) for k in keys})
+    runs: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    for j, row in events.items():
         stretches = runs[j] = []
-        prev = -1
-        for k in keys:
-            # Columns strictly between two keys; left of the first key and
-            # right of the last the row is outside every loop.
-            first, last = (prev + 1) // 2, (k - 2) // 2
-            if first <= last:
-                stretches.append((first, last, prev >= 0))
-            if k & 1:
-                stretches.append((k // 2, k // 2, True))
-            prev = k
-        if (prev + 1) // 2 < columns:
-            stretches.append(((prev + 1) // 2, columns - 1, False))
+        inside = start = 0  # loops crossed an odd number of times; next column
+        for key, group in groupby(sorted(row), itemgetter(0)):
+            flip = on = 0
+            for _, f, o in group:
+                flip ^= f
+                on |= o
+            if start <= (key - 2) // 2:  # the columns strictly left of the key
+                stretches.append((start, (key - 2) // 2, inside, 0))
+            if key & 1:
+                stretches.append((key // 2, key // 2, inside & ~on, on))
+            inside ^= flip
+            start = (key + 1) // 2
+        if start < columns:
+            stretches.append((start, columns - 1, inside, 0))
     return runs
 
 

@@ -22,11 +22,10 @@ from .errors import (
 from .geometry import (
     Lattice,
     Point2,
-    bounding_box,
-    boxed_segments,
     cross_value,
     lattice_row_runs,
     segment_segment_distance_sq,
+    simple_polygon,
 )
 from .nerves import Region, SimplicialComplex, nerve
 
@@ -148,12 +147,11 @@ def _merge_runs(runs: List[Run]) -> Tuple[Run, ...]:
 def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitmap:
     """Set a pixel iff its center lies in the closed union of the regions.
 
-    Exact and per row: along a row's centre line, membership in a region
-    can change only where its boundary meets the line.  Between two
-    consecutive such events membership is constant, and one
-    :meth:`Region.contains` on the first pixel centre between them decides
-    it; a pixel centre exactly on an event is decided on its own.  Left of
-    the first event and right of the last the line is outside the region.
+    Exact and per row: :func:`lattice_row_runs` splits each row of pixel
+    centres into stretches that lie inside, on or outside each loop of a
+    region alike, so a stretch is set iff it is in or on one of the
+    region's loops and strictly inside none of its excluded loops, as
+    :meth:`Region.contains` decides for a point.
     """
     if resolution < 4:
         raise ValueError(f"resolution must be at least 4 pixels per unit, got {resolution}")
@@ -172,12 +170,9 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
         den = lattice.s // (2 * resolution)
         loops = [[lattice.ints(p) for p in loop] for loop in r.loops + r.excluded]
         stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))
+        held = (1 << len(r.loops)) - 1  # the loops' bits; the excluded loops' lie above
         for j, row in stretches.items():
-            runs = row_runs[j]
-            y = (2 * j + 1) * den
-            for first, last, decided in row:
-                if decided and r.contains(lattice.point((2 * first + 1) * den, y)):
-                    runs.append((first, last))
+            row_runs[j] += [(a, b) for a, b, inside, on in row if (inside | on) & held and inside <= held]
     rows = tuple(_merge_runs(runs) for runs in row_runs)
     return Bitmap(width=width, height=height, resolution=resolution, frame=frame, rows=rows)
 
@@ -249,7 +244,7 @@ def cubical_betti(b: Bitmap) -> Tuple[int, int]:
 
 
 def is_convex_loop(points: Sequence[Point2]) -> bool:
-    """All turns along the closed loop agree in sign (collinear runs allowed)."""
+    """A simple closed loop whose turns all agree in sign (collinear runs allowed)."""
     n = len(points)
     if n < 3:
         return False
@@ -260,7 +255,7 @@ def is_convex_loop(points: Sequence[Point2]) -> bool:
             signs.add(1)
         elif det < 0:
             signs.add(-1)
-    return len(signs) == 1
+    return len(signs) == 1 and simple_polygon(points)
 
 
 def _box_gap_sq(a, b) -> Fraction:
@@ -279,14 +274,12 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     below, so the minimum is the one of the full double loop.
     """
     best: Optional[Fraction] = None
-    boxes = [bounding_box(r.boundary_vertices()) for r in regions]
-    segments = [boxed_segments(*r.loops, *r.excluded) for r in regions]
-    for i, segs1 in enumerate(segments):
-        for j in range(i + 1, len(regions)):
-            if best is not None and _box_gap_sq(boxes[i], boxes[j]) >= best:
+    for i, r1 in enumerate(regions):
+        for r2 in regions[i + 1 :]:
+            if best is not None and _box_gap_sq(r1.bbox, r2.bbox) >= best:
                 continue
-            for a, b, box1 in segs1:
-                for c, d, box2 in segments[j]:
+            for a, b, box1 in r1.segments:
+                for c, d, box2 in r2.segments:
                     if best is not None and _box_gap_sq(box1, box2) >= best:
                         continue
                     dist = segment_segment_distance_sq(a, b, c, d)

@@ -34,7 +34,6 @@ from .geometry import (
     bounding_box,
     boxed_segments,
     boxes_meet,
-    loop_segments,
     segment_meetings,
     vertex_centroid,
 )
@@ -56,9 +55,8 @@ class Region:
             raise EmptyCollection("a region needs at least one loop")
         self._scaled = [ScaledLoop(l) for l in self.loops]
         self._scaled_excluded = [ScaledLoop(l) for l in self.excluded]
-        xs = [p.x for loop in self.loops for p in loop]
-        ys = [p.y for loop in self.loops for p in loop]
-        self.bbox = (min(xs), min(ys), max(xs), max(ys))
+        self.segments = boxed_segments(*self.loops, *self.excluded)
+        self.bbox = bounding_box(self.boundary_vertices())
 
     @classmethod
     def from_cycle(cls, c: FilledCycle, label: str = "") -> "Region":
@@ -88,12 +86,6 @@ class Region:
             out.extend(loop)
         return out
 
-    def boundary_segments(self):
-        segs = []
-        for loop in self.loops + self.excluded:
-            segs.extend(loop_segments(loop))
-        return segs
-
     def interior_samples(self) -> List[Point2]:
         return [vertex_centroid(loop) for loop in self.loops]
 
@@ -121,13 +113,11 @@ def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
     for r in regions:
         for p in r.boundary_vertices():
             push(p)
-    segments = [boxed_segments(*r.loops, *r.excluded) for r in regions]
-    boxes = [bounding_box(r.boundary_vertices()) for r in regions]
-    for i, segs1 in enumerate(segments):
-        for j in range(i + 1, len(regions)):
-            if not boxes_meet(boxes[i], boxes[j]):
+    for i, r1 in enumerate(regions):
+        for r2 in regions[i + 1 :]:
+            if not boxes_meet(r1.bbox, r2.bbox):
                 continue
-            for _, _, inter in segment_meetings(segs1, segments[j]):
+            for _, _, inter in segment_meetings(r1.segments, r2.segments):
                 push(inter[1])
                 if inter[0] == "segment":
                     push(inter[2])

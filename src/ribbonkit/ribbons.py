@@ -28,7 +28,6 @@ from .geometry import (
     PointLocation,
     ScaledLoop,
     boxed_segments,
-    loop_segments,
     segment_meetings,
     simple_polygon,
     vertex_centroid,
@@ -51,9 +50,6 @@ class FilledCycle:
     @property
     def points(self) -> Tuple[Point2, ...]:
         return self._points
-
-    def segments(self):
-        return loop_segments(self._points)
 
     def locate(self, p: Point2) -> PointLocation:
         return self._scaled.classify(p)

@@ -6,7 +6,7 @@ the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
 from collections import deque
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from random import Random
 from typing import Dict, List, Optional, Tuple
 
@@ -175,8 +175,8 @@ def reference_witness(regions):
             push(p)
     for i, r1 in enumerate(regions):
         for r2 in regions[i + 1 :]:
-            for a, b in r1.boundary_segments():
-                for c, d in r2.boundary_segments():
+            for a, b in chain.from_iterable(map(loop_segments, r1.loops + r1.excluded)):
+                for c, d in chain.from_iterable(map(loop_segments, r2.loops + r2.excluded)):
                     inter = segment_intersection(a, b, c, d)
                     if inter is not None:
                         for p in inter[1:]:
@@ -365,8 +365,8 @@ def reference_clearance_sq(regions):
     best = None
     for i, r1 in enumerate(regions):
         for r2 in regions[i + 1 :]:
-            for a, b in r1.boundary_segments():
-                for c, d in r2.boundary_segments():
+            for a, b in chain.from_iterable(map(loop_segments, r1.loops + r1.excluded)):
+                for c, d in chain.from_iterable(map(loop_segments, r2.loops + r2.excluded)):
                     dist = segment_segment_distance_sq(a, b, c, d)
                     if best is None or dist < best:
                         best = dist
@@ -559,8 +559,8 @@ def reference_is_nested(inner, outer) -> bool:
     for p in inner.points:
         if outer.locate(p) is not PointLocation.INSIDE:
             return False
-    for a, b in inner.segments():
-        for c, d in outer.segments():
+    for a, b in loop_segments(inner.points):
+        for c, d in loop_segments(outer.points):
             if segment_intersection(a, b, c, d) is not None:
                 return False
     return True
@@ -580,7 +580,7 @@ def reference_check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Fi
     fa = k.vertices[fil.outer_vertex]
     fb = k.vertices[fil.inner_vertex]
     for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
-        for a, b in cycle.segments():
+        for a, b in loop_segments(cycle.points):
             inter = segment_intersection(fa, fb, a, b)
             if inter is None:
                 continue
@@ -611,14 +611,14 @@ def _sample_points(r: Ribbon, f: Frame, grid_density: int) -> List[Point2]:
         pts.extend(Point2(x, y) for y in ys for x in xs)
     for cycle in (r.outer, r.inner):
         pts.extend(cycle.points)
-        for a, b in cycle.segments():
+        for a, b in loop_segments(cycle.points):
             pts.append(Point2((a.x + b.x) / 2, (a.y + b.y) / 2))
     return pts
 
 
 def _boundary_sets(r: Ribbon, f: Frame):
-    outer = r.outer.segments()
-    inner = r.inner.segments()
+    outer = loop_segments(r.outer.points)
+    inner = loop_segments(r.inner.points)
     return {
         RegionLabel.PI1_OUTSIDE: outer + f.border_segments(),
         RegionLabel.PI2_ANNULUS: outer + inner,

@@ -15,7 +15,7 @@ from ribbonkit.division import (
     verify_partition,
 )
 from ribbonkit.errors import FrameTooSmall, PointOutsideFrame, RibbonError
-from ribbonkit.geometry import Point2, point
+from ribbonkit.geometry import Point2, ScaledLoop, loop_segments, point
 from ribbonkit.ribbons import Ribbon, make_filled_cycle, make_ribbon
 
 
@@ -39,7 +39,7 @@ def test_boundary_ownership():
         assert classify_region(r, f, p) is RegionLabel.PI2_ANNULUS
     for p in r.inner.points:
         assert classify_region(r, f, p) is RegionLabel.PI3_INNER
-    for a, b in r.outer.segments():
+    for a, b in loop_segments(r.outer.points):
         mid = Point2((a.x + b.x) / 2, (a.y + b.y) / 2)
         assert classify_region(r, f, mid) is RegionLabel.PI2_ANNULUS
 
@@ -70,6 +70,21 @@ def test_verify_partition_on_gallery_ring():
         _, clearance_sq = witness
         assert clearance_sq > 0
     assert report.total_points == 50 * 50 + 2 * (10 + 10)
+
+
+def test_verify_partition_classifies_only_loop_samples(monkeypatch):
+    # The row scan labels the lattice, so only the loop vertices and edge
+    # midpoints are classified, however dense the lattice.
+    calls = []
+    classify = ScaledLoop.classify
+    monkeypatch.setattr(ScaledLoop, "classify", lambda s, p: calls.append(p) or classify(s, p))
+    r, f = _ring_and_frame()
+    counts = []
+    for d in (15, 120):
+        calls.clear()
+        verify_partition(r, f, d)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_density_one_flags_unrealized_labels():

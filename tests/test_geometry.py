@@ -286,7 +286,8 @@ def test_lattice_row_runs_contract():
     # or both sides, and above or below it; half of the vertices sit on
     # lattice points, so edges run along rows and through columns.
     rng = Random(59)
-    seen, leaves = set(), set()
+    masks = {PointLocation.INSIDE: (1, 0), PointLocation.ON_BOUNDARY: (0, 1), PointLocation.OUTSIDE: (0, 0)}
+    seen = Counter()
     for _ in range(300):
         columns, rows = rng.randint(1, 12), rng.randint(1, 12)
         ox, oy, sx, sy = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 5), rng.randint(1, 5)
@@ -302,31 +303,35 @@ def test_lattice_row_runs_contract():
                     loop.append((ox + i * sx + rng.randrange(sx), oy + j * sy + rng.randrange(sy)))
             loops.append(loop)
         scaled = [ScaledLoop([Point2(x, y) for x, y in loop]) for loop in loops]
-
-        def where(i, j):
-            return tuple(s.classify(Point2(ox + i * sx, oy + j * sy)) for s in scaled)
-
-        outside = (PointLocation.OUTSIDE,) * len(loops)
         runs = lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
         assert set(runs) <= set(range(rows))
         for j in range(rows):
-            row = runs.get(j)
-            if row is None:
-                assert all(where(i, j) == outside for i in range(columns))
-                continue
-            assert [i for first, last, _ in row for i in range(first, last + 1)] == list(range(columns))
-            for first, last, decided in row:
+            y = oy + j * sy
+            row = runs.get(j, [(0, columns - 1, 0, 0)])
+            assert [i for first, last, _, _ in row for i in range(first, last + 1)] == list(range(columns))
+            for first, last, inside, on in row:
                 assert first <= last
-                want = where(first, j) if decided else outside
-                assert all(where(i, j) == want for i in range(first, last + 1))
-                seen.update(want)
-                if decided and PointLocation.INSIDE in want:
-                    # A loop holding an end column leaves the lattice there.
-                    if first == 0:
-                        leaves.add("left")
-                    if last == columns - 1:
-                        leaves.add("right")
-    assert seen == set(PointLocation) and leaves == {"left", "right"}
+                for i in range(first, last + 1):
+                    for b, s in enumerate(scaled):
+                        where = s.classify(Point2(ox + i * sx, y))
+                        assert (inside >> b & 1, on >> b & 1) == masks[where]
+                        seen[where] += 1
+            # What the row meets: vertices, edges along it with a lattice
+            # column strictly between their ends, and edges crossing its line
+            # at least one column step left or right of the lattice.
+            for loop in loops:
+                for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
+                    if y1 == y:
+                        seen["vertex on row"] += 1
+                    if y1 == y2 == y and any(min(x1, x2) < ox + i * sx < max(x1, x2) for i in range(columns)):
+                        seen["edge along row"] += 1
+                    elif min(y1, y2) <= y <= max(y1, y2) and y1 != y2:
+                        x = x1 + Fraction((y - y1) * (x2 - x1), y2 - y1)
+                        if x <= ox - sx:
+                            seen["clamped left"] += 1
+                        if x >= ox + columns * sx:
+                            seen["clamped right"] += 1
+    assert min(seen.values()) > 20 and len(seen) == 7, seen
 
 
 def test_simple_polygon_matches_unpruned_reference():

@@ -12,6 +12,7 @@ from helpers import (
     reference_rasterize,
 )
 
+from ribbonkit import gallery
 from ribbonkit.division import Frame
 from ribbonkit.errors import (
     CollectionTooLarge,
@@ -20,7 +21,7 @@ from ribbonkit.errors import (
     NonConvexRegion,
     NotDownwardClosed,
 )
-from ribbonkit.geometry import Point2, cross_value, point, simple_polygon
+from ribbonkit.geometry import Point2, ScaledLoop, cross_value, point, simple_polygon
 from ribbonkit.homology import (
     Bitmap,
     _gf2_rank,
@@ -152,6 +153,27 @@ def test_is_convex_loop():
     assert is_convex_loop([point(0, 0), point(1, 0), point(2, 0), point(2, 2), point(0, 2)])
     dent = [point(0, 0), point(4, 0), point(4, 2), point(2, 1), point(0, 2)]
     assert not is_convex_loop(dent)
+
+
+def test_is_convex_loop_rejects_self_intersecting_star():
+    # Every turn of the pentagram has the same sign, but its edges cross.
+    star = [point(0, 3), point(2, -3), point(-3, 1), point(3, 1), point(-2, -3)]
+    assert not simple_polygon(star)
+    assert not is_convex_loop(star)
+    with pytest.raises(NonConvexRegion):
+        nerve_theorem_check([Region(loops=(star,))], _frame(-4, -4, 4, 4), 16)
+
+
+def test_rasterize_tests_no_point_membership(monkeypatch):
+    # The row scan decides every pixel, so no loop classifies a point.
+    ribbons = [Region.from_ribbon(r) for r in gallery.five_ribbon_complex().rbx.ribbons]
+    rects = random_rect_family(Random(61))
+    calls = []
+    classify = ScaledLoop.classify
+    monkeypatch.setattr(ScaledLoop, "classify", lambda s, p: calls.append(p) or classify(s, p))
+    for regions, frame in ((ribbons, _frame(-1, -1, 10, 6)), (rects, _frame(-1, -1, 9, 9))):
+        assert rasterize(regions, frame, 32).bits
+    assert calls == []
 
 
 def test_nerve_check_common_point():

@@ -25,6 +25,7 @@ from ribbonkit.errors import (
 from ribbonkit.geometry import (
     Point2,
     PointLocation,
+    loop_segments,
     on_segment,
     point,
     point_in_polygon,
@@ -370,7 +371,7 @@ def test_check_filament_matches_unpruned_reference():
                 seen["along an edge"] += any(
                     (segment_intersection(fa, fb, a, b) or ("",))[0] == "segment"
                     for cycle in (outer, inner)
-                    for a, b in cycle.segments()
+                    for a, b in loop_segments(cycle.points)
                 )
                 seen["through a third vertex"] += any(
                     p not in (fa, fb) and on_segment(p, fa, fb) for p in loop_points
