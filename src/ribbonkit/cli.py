@@ -18,7 +18,7 @@ from .complexes import validate_cw
 from .division import Frame, frame_around, verify_partition
 from .document import ComplexDocument, format_rational, parse_document
 from .errors import RibbonError, SchemaViolation
-from .geometry import Point2, to_fraction
+from .geometry import Point2, bounding_box, to_fraction
 from .homology import nerve_theorem_check
 # ribbon_nerve stays bound in this module: perfbench/spans.py traces it here.
 from .nerves import Region, _ribbon_groups, nerve, ribbon_nerve
@@ -131,12 +131,8 @@ def _cmd_nervecheck(args) -> int:
     regions = [
         Region.from_cycle(doc.cycles[name], label=name) for name in sorted(doc.cycles)
     ]
-    pts = [p for r in regions for p in r.boundary_vertices()]
-    margin = Fraction(1)
-    frame = Frame(
-        Point2(min(p.x for p in pts) - margin, min(p.y for p in pts) - margin),
-        Point2(max(p.x for p in pts) + margin, max(p.y for p in pts) + margin),
-    )
+    x0, y0, x1, y1 = bounding_box(p for r in regions for p in r.boundary_vertices())
+    frame = Frame(Point2(x0 - 1, y0 - 1), Point2(x1 + 1, y1 + 1))
     report = nerve_theorem_check(regions, frame, args.resolution)
     for line in report.lines():
         print(line)

@@ -61,12 +61,9 @@ class Frame:
 
 def frame_around(r: Ribbon, margin) -> Frame:
     """Axis-aligned frame enclosing the ribbon with the given margin."""
-    pts = r.outer.points
+    x0, y0, x1, y1 = r.outer.shape.bbox
     m = to_fraction(margin)
-    return Frame(
-        Point2(min(p.x for p in pts) - m, min(p.y for p in pts) - m),
-        Point2(max(p.x for p in pts) + m, max(p.y for p in pts) + m),
-    )
+    return Frame(Point2(x0 - m, y0 - m), Point2(x1 + m, y1 + m))
 
 
 def _require_frame(r: Ribbon, f: Frame) -> None:

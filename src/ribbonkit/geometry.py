@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from math import lcm
+from math import isfinite, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -34,7 +34,7 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         return Fraction(value)
     if isinstance(value, float):
-        if Fraction(value) != Fraction(str(value)):
+        if not isfinite(value) or Fraction(value) != Fraction(str(value)):
             raise ValueError(
                 f"float {value!r} is not an exact decimal; pass a Fraction or string"
             )
@@ -157,12 +157,10 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
     Adjacent edges may meet only in their shared vertex; non-adjacent
     edges may not meet at all, and vertices must be pairwise distinct.
     """
-    n = len(loop)
-    if n < 3:
-        raise TooFewVertices(f"a polygon needs at least 3 vertices, got {n}")
+    shape = as_scaled_loop(loop)
+    loop, segs, n = shape.points, shape.segments, len(shape)
     if len({_lex(p) for p in loop}) != n:
         return False
-    segs = boxed_segments(loop)
     for i in range(n):
         # Edges p-q and q-r overlap iff r folds back onto p's side of q.
         p, q, r = loop[i - 1], loop[i], loop[(i + 1) % n]
@@ -175,6 +173,7 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
 
 def bounding_box(points: Iterable[Point2]) -> Tuple[Fraction, Fraction, Fraction, Fraction]:
     """Bounding box ``(xmin, ymin, xmax, ymax)`` of a nonempty point set."""
+    points = list(points)  # read an iterator once
     xs = [p.x for p in points]
     ys = [p.y for p in points]
     return (min(xs), min(ys), max(xs), max(ys))
@@ -233,18 +232,31 @@ class Lattice:
 
 
 class ScaledLoop:
-    """Polygon rescaled to integer coordinates for fast exact queries.
+    """Closed loop of three or more vertices, built once for every check on it.
 
-    Vertices are multiplied by the least common denominator once, so each
-    point classification only needs integer arithmetic.
+    It holds its ``points``, their :func:`boxed_segments`, their ``bbox``, and
+    their rescale by the least common denominator ``den`` to the integers
+    ``xs`` and ``ys``, so each point classification only needs integer
+    arithmetic.  It is the read-only sequence of its points.
     """
 
-    __slots__ = ("den", "xs", "ys")
+    __slots__ = ("points", "segments", "bbox", "den", "xs", "ys")
 
-    def __init__(self, points: Sequence[Point2]):
+    def __init__(self, points: Iterable[Point2]):
+        self.points = points = tuple(points)
+        if len(points) < 3:
+            raise TooFewVertices(f"a polygon needs at least 3 vertices, got {len(points)}")
+        self.segments = boxed_segments(points)
+        self.bbox = bounding_box(points)
         lattice = Lattice(points)
         self.den = lattice.s
         self.xs, self.ys = map(list, zip(*map(lattice.ints, points)))
+
+    def __len__(self) -> int:
+        return len(self.points)
+
+    def __getitem__(self, i):
+        return self.points[i]
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
@@ -273,6 +285,11 @@ class ScaledLoop:
                 return PointLocation.ON_BOUNDARY
             x1, y1 = x2, y2
         return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+
+
+def as_scaled_loop(loop: Sequence[Point2]) -> ScaledLoop:
+    """``loop`` itself if it is a :class:`ScaledLoop`, else one built from it."""
+    return loop if isinstance(loop, ScaledLoop) else ScaledLoop(loop)
 
 
 def _lattice_key(value: int, origin: int, step: int) -> int:
@@ -362,9 +379,10 @@ def point_in_polygon(
     p: Point2, loop: Sequence[Point2], *, assume_simple: bool = False
 ) -> PointLocation:
     """Classify ``p`` against a simple closed polygon, exactly."""
+    loop = as_scaled_loop(loop)
     if not assume_simple and not simple_polygon(loop):
         raise NonSimplePolygon("polygon loop is self-intersecting or degenerate")
-    return ScaledLoop(loop).classify(p)
+    return loop.classify(p)
 
 
 def polygon_area2(loop: Sequence[Point2]) -> Fraction:

@@ -168,7 +168,7 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
         # the centre of pixel (i, j) is at ((2i + 1) * den, (2j + 1) * den).
         lattice = Lattice(r.boundary_vertices(), frame.lo, 2 * resolution)
         den = lattice.s // (2 * resolution)
-        loops = [[lattice.ints(p) for p in loop] for loop in r.loops + r.excluded]
+        loops = [[lattice.ints(p) for p in loop.points] for loop in r.loops + r.excluded]
         stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))
         held = (1 << len(r.loops)) - 1  # the loops' bits; the excluded loops' lie above
         for j, row in stretches.items():

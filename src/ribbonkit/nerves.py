@@ -31,8 +31,8 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    as_scaled_loop,
     bounding_box,
-    boxed_segments,
     boxes_meet,
     segment_meetings,
     vertex_centroid,
@@ -44,50 +44,42 @@ from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
 class Region:
     """Closed point set given by outer loops minus excluded open interiors."""
 
-    loops: Tuple[Tuple[Point2, ...], ...]
-    excluded: Tuple[Tuple[Point2, ...], ...] = ()
+    loops: Tuple[ScaledLoop, ...]
+    excluded: Tuple[ScaledLoop, ...] = ()
     label: str = ""
 
     def __post_init__(self):
-        self.loops = tuple(tuple(l) for l in self.loops)
-        self.excluded = tuple(tuple(l) for l in self.excluded)
+        self.loops = tuple(map(as_scaled_loop, self.loops))
+        self.excluded = tuple(map(as_scaled_loop, self.excluded))
         if not self.loops:
             raise EmptyCollection("a region needs at least one loop")
-        self._scaled = [ScaledLoop(l) for l in self.loops]
-        self._scaled_excluded = [ScaledLoop(l) for l in self.excluded]
-        self.segments = boxed_segments(*self.loops, *self.excluded)
+        self.segments = [s for loop in self.loops + self.excluded for s in loop.segments]
         self.bbox = bounding_box(self.boundary_vertices())
 
     @classmethod
     def from_cycle(cls, c: FilledCycle, label: str = "") -> "Region":
-        return cls(loops=(c.points,), label=label or c.label)
+        return cls(loops=(c.shape,), label=label or c.label)
 
     @classmethod
     def from_ribbon(cls, r: Ribbon, label: str = "") -> "Region":
-        return cls(
-            loops=(r.outer.points,),
-            excluded=(r.inner.points,),
-            label=label or r.label,
-        )
+        return cls(loops=(r.outer.shape,), excluded=(r.inner.shape,), label=label or r.label)
 
     def contains(self, p: Point2) -> bool:
         b = self.bbox
         if p.x < b[0] or p.x > b[2] or p.y < b[1] or p.y > b[3]:
             return False
-        if not any(s.classify(p) is not PointLocation.OUTSIDE for s in self._scaled):
+        if not any(s.classify(p) is not PointLocation.OUTSIDE for s in self.loops):
             return False
-        return all(
-            s.classify(p) is not PointLocation.INSIDE for s in self._scaled_excluded
-        )
+        return all(s.classify(p) is not PointLocation.INSIDE for s in self.excluded)
 
     def boundary_vertices(self) -> List[Point2]:
         out: List[Point2] = []
         for loop in self.loops + self.excluded:
-            out.extend(loop)
+            out.extend(loop.points)
         return out
 
     def interior_samples(self) -> List[Point2]:
-        return [vertex_centroid(loop) for loop in self.loops]
+        return [vertex_centroid(loop.points) for loop in self.loops]
 
     def __repr__(self) -> str:
         return f"Region({self.label or len(self.loops)})"

@@ -44,18 +44,17 @@ class FilledCycle:
 
     def __post_init__(self):
         self.loop = tuple(self.loop)
-        self._points = tuple(self.complex.vertices[v] for v in self.loop)
-        self._scaled = ScaledLoop(self._points)
+        self.shape = ScaledLoop(self.complex.vertices[v] for v in self.loop)
 
     @property
     def points(self) -> Tuple[Point2, ...]:
-        return self._points
+        return self.shape.points
 
     def locate(self, p: Point2) -> PointLocation:
-        return self._scaled.classify(p)
+        return self.shape.classify(p)
 
     def centroid(self) -> Point2:
-        return vertex_centroid(self._points)
+        return vertex_centroid(self.shape.points)
 
     def __repr__(self) -> str:
         return f"FilledCycle({self.label or len(self.loop)})"
@@ -67,13 +66,13 @@ def make_filled_cycle(k: CellComplex, loop: Sequence[str], label: str = "") -> F
     for vid in loop:
         if vid not in k.vertices:
             raise UnknownVertex(f"loop vertex {vid!r} is not in complex {k.name!r}")
-    pts = [k.vertices[v] for v in loop]
-    if not simple_polygon(pts):
+    cycle = FilledCycle(k, loop, label)
+    if not simple_polygon(cycle.shape):
         raise NonSimplePolygon(f"cycle {label or loop} is not a simple closed polygon")
     n = len(loop)
     for i in range(n):
         k.add_edge(loop[i], loop[(i + 1) % n])
-    return FilledCycle(k, loop, label)
+    return cycle
 
 
 def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
@@ -82,7 +81,7 @@ def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
     for p in inner.points:
         if outer.locate(p) is not PointLocation.INSIDE:
             return False
-    meetings = segment_meetings(boxed_segments(inner.points), boxed_segments(outer.points))
+    meetings = segment_meetings(inner.shape.segments, outer.shape.segments)
     return next(meetings, None) is None
 
 
@@ -163,7 +162,7 @@ def _check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Filament) -
     fb = k.vertices[fil.inner_vertex]
     filament = boxed_segments((fa, fb))[:1]  # fa-fb, not the closing fb-fa
     for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
-        for _, _, meet in segment_meetings(filament, boxed_segments(cycle.points)):
+        for _, _, meet in segment_meetings(filament, cycle.shape.segments):
             if meet != ("point", endpoint):
                 raise FilamentEndpointOffBoundary(
                     f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} crosses a cycle boundary"

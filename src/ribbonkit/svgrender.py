@@ -11,7 +11,7 @@ from typing import List, Tuple
 
 from .document import ComplexDocument
 from .errors import UnknownTarget
-from .geometry import Point2
+from .geometry import Point2, bounding_box
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, VortexNerve
 
 HOLE_RADIUS = "0.06"
@@ -54,11 +54,9 @@ def render_svg(doc: ComplexDocument, target_name: str) -> str:
     if not isinstance(target, (FilledCycle, Ribbon, RibbonComplex, VortexNerve)):
         raise UnknownTarget(f"{target_name!r} is not a drawable structure")
     loops = _loops_of(target)
-    pts = [p for loop, _ in loops for p in loop]
-    min_x = min(p.x for p in pts) - MARGIN
-    max_x = max(p.x for p in pts) + MARGIN
-    min_y = min(p.y for p in pts) - MARGIN
-    max_y = max(p.y for p in pts) + MARGIN
+    box = bounding_box(p for loop, _ in loops for p in loop)
+    min_x, min_y = box[0] - MARGIN, box[1] - MARGIN
+    max_x, max_y = box[2] + MARGIN, box[3] + MARGIN
 
     def fy(y) -> Fraction:
         # flip to SVG's downward y axis around the drawing box

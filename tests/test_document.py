@@ -20,7 +20,7 @@ from ribbonkit.errors import (
     UnknownTarget,
     UnresolvedReference,
 )
-from ribbonkit.geometry import Point2
+from ribbonkit.geometry import Point2, ScaledLoop
 from ribbonkit.svgrender import render_svg
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -176,6 +176,76 @@ def test_cli_exit_codes(tmp_path, capsys):
     golden = str(GOLDEN / "two_hole_ribbon.rcx")
     assert main(["betti", golden, "--target", "missing"]) == 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("spelling", ("1e999", "Infinity", "-Infinity", "NaN"))
+def test_cli_rejects_non_finite_coordinate(spelling, tmp_path, capsys):
+    path = tmp_path / "non_finite.rcx"
+    path.write_text(
+        '{"complexes":{"K":{"vertices":{"a":[%s,"0"]}}},"format_version":1}\n' % spelling,
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "NonCanonicalRational"
+    assert "is not an exact decimal" in error["message"]
+
+
+def test_cli_two_vertex_cycle_exits_schema(tmp_path, capsys):
+    path = tmp_path / "short.rcx"
+    path.write_text(
+        '{"complexes":{"K":{"cycles":{"c":["a","b"]},'
+        '"vertices":{"a":["0","0"],"b":["1","0"]}}},"format_version":1}\n',
+        encoding="utf-8",
+    )
+    assert main(["validate", str(path)]) == 3
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "SchemaViolation",
+        "message": "$.complexes.K.cycles.c: a polygon needs at least 3 vertices, got 2",
+    }
+
+
+RECTS = (
+    '{"complexes":{"K":{"cycles":{"a":["a0","a1","a2","a3"],"b":["b0","b1","b2","b3"],'
+    '"c":["c0","c1","c2","c3"]},"vertices":{"a0":["0","0"],"a1":["2","0"],"a2":["2","2"],'
+    '"a3":["0","2"],"b0":["1","1"],"b1":["3","1"],"b2":["3","3"],"b3":["1","3"],'
+    '"c0":["4","0"],"c1":["9/2","0"],"c2":["9/2","1/2"],"c3":["4","1/2"]}}},"format_version":1}\n'
+)
+
+
+def _count_loop_builds(monkeypatch) -> list:
+    builds = []
+    init = ScaledLoop.__init__
+    monkeypatch.setattr(ScaledLoop, "__init__", lambda self, pts: builds.append(1) or init(self, pts))
+    return builds
+
+
+# Parsing builds each cycle's ScaledLoop once; the nerve regions and the
+# convexity check reuse it.
+def test_cli_nerve_builds_one_loop_per_cycle(capsys, monkeypatch):
+    five = GOLDEN / "five_ribbon_complex.rcx"
+    assert len(parse_document(five.read_text(encoding="utf-8")).cycles) == 10
+    builds = _count_loop_builds(monkeypatch)
+    assert main(["nerve", str(five)]) == 0
+    assert capsys.readouterr().out == NERVE_STDOUT["five_ribbon_complex"]
+    assert len(builds) == 10
+
+
+def test_cli_nervecheck_builds_one_loop_per_cycle(tmp_path, capsys, monkeypatch):
+    rects = tmp_path / "rects.rcx"
+    rects.write_text(RECTS, encoding="utf-8")
+    builds = _count_loop_builds(monkeypatch)
+    assert main(["nervecheck", str(rects)]) == 0
+    assert capsys.readouterr().out == (
+        "regions=3 resolution=16 passed=true\n"
+        "  nerve  b0=2 b1=0\n"
+        "  union  b0=2 b1=0\n"
+        "  min_boundary_clearance_sq=0\n"
+    )
+    assert len(builds) == 3
 
 
 def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):

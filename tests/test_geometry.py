@@ -14,6 +14,7 @@ from ribbonkit.geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    bounding_box,
     boxed_segments,
     cross_value,
     lattice_row_runs,
@@ -46,6 +47,37 @@ def test_to_fraction_rejects_inexact_float():
         to_fraction(0.1)
     with pytest.raises(TypeError):
         to_fraction(object())
+
+
+def test_to_fraction_rejects_non_finite_float():
+    for value in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="is not an exact decimal"):
+            to_fraction(value)
+    with pytest.raises(ValueError):
+        point(float("inf"), 0)
+
+
+def test_bounding_box_reads_an_iterator_once():
+    assert bounding_box(p for p in SQUARE) == bounding_box(SQUARE) == (0, 0, 3, 3)
+
+
+def test_scaled_loop_is_the_sequence_of_its_points():
+    loop = ScaledLoop(iter(SQUARE))
+    assert len(loop) == 4 and list(loop) == SQUARE and loop[-1] == SQUARE[-1]
+    assert loop.points == tuple(SQUARE) and loop.bbox == (0, 0, 3, 3)
+    assert loop.segments == boxed_segments(SQUARE)
+    assert loop_segments(loop) == loop_segments(SQUARE)
+    assert simple_polygon(loop) is True
+    assert point_in_polygon(point(1, 1), loop) is PointLocation.INSIDE
+
+
+@pytest.mark.parametrize(
+    "build",
+    (ScaledLoop, simple_polygon, lambda pts: point_in_polygon(point(0, 0), pts, assume_simple=True)),
+)
+def test_two_vertex_loop_raises_too_few_vertices(build):
+    with pytest.raises(TooFewVertices, match="^a polygon needs at least 3 vertices, got 2$"):
+        build([point(0, 0), point(1, 0)])
 
 
 def test_orientation_examples():

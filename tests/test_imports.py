@@ -1,8 +1,10 @@
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ribbonkit"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ribbonkit"
 
 # Imports kept on purpose although the module never reads them.
 ALLOWED = {
@@ -49,3 +51,28 @@ def test_no_unreferenced_private_definitions():
     ]
     unreferenced = [d.name for d in private if everywhere[d.name] == _referenced_names(d)[d.name]]
     assert len(private) > 0 and unreferenced == []
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_imports_are_stdlib_only():
+    # The package runs on the standard library alone; the tests may also use
+    # pytest, their shared helpers and the package itself.
+    allowed = {
+        SRC: sys.stdlib_module_names,
+        TESTS: sys.stdlib_module_names | {"pytest", "helpers", "ribbonkit"},
+    }
+    outside = [
+        f"{path.relative_to(TESTS.parent)}: {name}"
+        for root, names in allowed.items()
+        for path in sorted(root.rglob("*.py"))
+        for name in _absolute_imports(path)
+        if name not in names
+    ]
+    assert outside == []

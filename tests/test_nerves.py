@@ -14,7 +14,7 @@ from helpers import (
 
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
-from ribbonkit.errors import CollectionTooLarge, EmptyCollection
+from ribbonkit.errors import CollectionTooLarge, EmptyCollection, TooFewVertices
 from ribbonkit.geometry import point
 from ribbonkit.nerves import Region, SimplicialComplex, common_witness, nerve, ribbon_nerve
 from ribbonkit.ribbons import RibbonComplex, make_filled_cycle
@@ -23,6 +23,15 @@ from ribbonkit.ribbons import RibbonComplex, make_filled_cycle
 def _square_region(k, prefix, x0, y0, x1, y1):
     ids = add_rect_loop(k, prefix, x0, y0, x1, y1)
     return Region.from_cycle(make_filled_cycle(k, ids, prefix))
+
+
+def test_region_shares_its_cycles_loops():
+    r = gallery.two_hole_ribbon().ribbon
+    region = Region.from_ribbon(r)
+    assert region.loops[0] is r.outer.shape and region.excluded[0] is r.inner.shape
+    assert Region.from_cycle(r.outer).loops[0] is r.outer.shape
+    with pytest.raises(TooFewVertices):
+        Region(loops=((point(0, 0), point(1, 0)),))
 
 
 def test_common_witness_nested_cycles():

@@ -21,6 +21,8 @@ from ribbonkit.errors import (
     NonSimplePolygon,
     NotNested,
     TooFewCycles,
+    TooFewVertices,
+    UnknownVertex,
 )
 from ribbonkit.geometry import (
     Point2,
@@ -71,6 +73,18 @@ def test_make_filled_cycle_triangle_and_errors():
         k2.add_vertex(vid, point(x, y))
     with pytest.raises(NonSimplePolygon):
         make_filled_cycle(k2, ["a", "b", "c", "d"], "bowtie")
+
+
+def test_make_filled_cycle_rejects_short_loops_before_adding_edges():
+    k = CellComplex("K")
+    k.add_vertex("a", point(0, 0))
+    k.add_vertex("b", point(1, 0))
+    with pytest.raises(UnknownVertex):
+        make_filled_cycle(k, ["a", "z"], "stray")
+    for loop in ([], ["a", "b"]):
+        with pytest.raises(TooFewVertices, match=f"^a polygon needs at least 3 vertices, got {len(loop)}$"):
+            make_filled_cycle(k, loop, "short")
+    assert k.edge_between("a", "b") is None
 
 
 def test_is_nested_cases():
