@@ -8,6 +8,7 @@ byte.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -34,6 +35,8 @@ from .ribbons import (
 )
 
 FORMAT_VERSION = 1
+# Canonical spellings only: an exponent would make Fraction expand it unbounded.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -54,8 +57,11 @@ def parse_rational(raw, path: str) -> Fraction:
         except ValueError as exc:
             raise NonCanonicalRational(f"{path}: {exc}") from exc
     if isinstance(raw, str):
+        if not _RATIONAL.fullmatch(raw):
+            raise NonCanonicalRational(f"{path}: {raw!r} is not a canonical rational")
+        num, _, den = raw.partition("/")
         try:
-            value = Fraction(raw)
+            value = Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise NonCanonicalRational(f"{path}: {raw!r} is not a rational") from exc
         if format_rational(value) != raw:
@@ -144,7 +150,7 @@ def _register(doc: ComplexDocument, table: Dict, name: str, obj, path: str) -> N
 def parse_document(text: str) -> ComplexDocument:
     try:
         root = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal past the digit limit
         raise SchemaViolation(f"document is not valid JSON: {exc}") from exc
     root = _expect_dict(root, "$")
     _check_keys(root, ("format_version", "complexes", "probes", "threshold"), "$")

@@ -27,7 +27,7 @@ from .geometry import (
     segment_segment_distance_sq,
     simple_polygon,
 )
-from .nerves import Region, SimplicialComplex, nerve
+from .nerves import Region, SimplicialComplex, boundary_meetings, nerve
 
 
 @dataclass(frozen=True)
@@ -268,11 +268,14 @@ def _box_gap_sq(a, b) -> Fraction:
 def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     """Exact minimum squared distance between boundaries of distinct regions.
 
-    Zero when two boundaries meet; None for fewer than two regions.  A
-    region pair or segment pair whose bounding boxes are at least the best
-    distance so far apart is skipped: the box gap bounds its distance from
-    below, so the minimum is the one of the full double loop.
+    Zero when two boundaries meet, as the nerve's :func:`boundary_meetings`
+    finds; None for fewer than two regions.  Otherwise a region pair or
+    segment pair whose bounding boxes are at least the best distance so far
+    apart is skipped: the box gap bounds its distance from below, so the
+    minimum is the one of the full double loop.
     """
+    if next(boundary_meetings(regions), None) is not None:
+        return Fraction(0)
     best: Optional[Fraction] = None
     for i, r1 in enumerate(regions):
         for r2 in regions[i + 1 :]:
@@ -285,8 +288,6 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
                     dist = segment_segment_distance_sq(a, b, c, d)
                     if best is None or dist < best:
                         best = dist
-                    if best == 0:
-                        return best
     return best
 
 

@@ -4,27 +4,29 @@ The nerve of a collection is the abstract simplicial complex of all
 nonempty subcollections whose members share a common point.  It is built
 in one pass over the arrangement of all region boundaries:
 
-1. One candidate list for the whole family: every boundary vertex, every
-   crossing of two boundaries of distinct regions, and one interior sample
-   per loop.  Region pairs and segment pairs whose bounding boxes are
-   disjoint are skipped, as they cannot cross.
+1. One candidate list for the whole family: the vertices of the
+   arrangement of all boundary loops, that is every loop vertex and every
+   meeting of two loops, of one region or of two.  Region pairs and segment
+   pairs whose bounding boxes are disjoint cannot meet and are skipped.
 2. Each candidate is classified against every region with
    :meth:`Region.contains`, giving the bitmask of the regions that hold it.
 3. The nerve is the downward closure of the maximal masks.
 
-This is exact.  The common intersection of a subcollection is compact and
-polygonal, so when it is nonempty its lexicographically least point is a
-vertex of the arrangement of that subcollection's boundaries.  The global
-candidate list contains every such vertex, so every simplex has a witness
-whose mask holds it, and no mask holds a subcollection without a common
-point.  :func:`common_witness` searches the same candidate list restricted
-to the regions it is given.
+This is exact when each loop is simple, which :class:`Region` does not
+check.  A nonempty common intersection of a subcollection is then compact,
+and its lexicographically least point is a vertex of the arrangement of
+the loops: a point inside one edge and off every other loop has a lower
+neighbour along that edge, in the same regions.  The global candidate list
+holds every such vertex, so every simplex has a witness whose mask holds
+it, and no mask holds a subcollection without a common point.
+:func:`common_witness` searches the same candidate list restricted to the
+regions it is given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from itertools import chain, combinations
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CollectionTooLarge, EmptyCollection
 from .geometry import (
@@ -35,7 +37,6 @@ from .geometry import (
     bounding_box,
     boxes_meet,
     segment_meetings,
-    vertex_centroid,
 )
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
 
@@ -78,45 +79,37 @@ class Region:
             out.extend(loop.points)
         return out
 
-    def interior_samples(self) -> List[Point2]:
-        return [vertex_centroid(loop.points) for loop in self.loops]
-
     def __repr__(self) -> str:
         return f"Region({self.label or len(self.loops)})"
 
 
-def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
-    """Arrangement vertices of the boundaries plus one sample per loop.
-
-    In order: every boundary vertex, every crossing of two boundaries of
-    distinct regions, every interior sample; duplicates dropped.  Pairs of
-    regions or segments whose bounding boxes are disjoint cannot cross
-    and are skipped, so the list equals the unpruned one.
-    """
-    seen = set()
-    out: List[Point2] = []
-
-    def push(p: Point2):
-        key = (p.x, p.y)
-        if key not in seen:
-            seen.add(key)
-            out.append(p)
-
-    for r in regions:
-        for p in r.boundary_vertices():
-            push(p)
+def boundary_meetings(regions: Sequence[Region]) -> Iterator[tuple]:
+    """The :func:`segment_intersection` of each meeting of two boundaries of
+    distinct regions, region pair by region pair; pairs of regions whose
+    bounding boxes are disjoint cannot meet and are skipped."""
     for i, r1 in enumerate(regions):
         for r2 in regions[i + 1 :]:
-            if not boxes_meet(r1.bbox, r2.bbox):
-                continue
-            for _, _, inter in segment_meetings(r1.segments, r2.segments):
-                push(inter[1])
-                if inter[0] == "segment":
-                    push(inter[2])
-    for r in regions:
-        for p in r.interior_samples():
-            push(p)
-    return out
+            if boxes_meet(r1.bbox, r2.bbox):
+                for _, _, meet in segment_meetings(r1.segments, r2.segments):
+                    yield meet
+
+
+def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
+    """The vertices of the arrangement of all boundary loops.
+
+    In order: every boundary vertex, every meeting of two boundaries of
+    distinct regions, every meeting of two loops of one region; duplicates
+    dropped.
+    """
+    own = (
+        meet
+        for r in regions
+        for k, l in combinations(r.loops + r.excluded, 2)
+        for _, _, meet in segment_meetings(k.segments, l.segments)
+    )
+    vertices = (p for r in regions for p in r.boundary_vertices())
+    meets = (p for meet in chain(boundary_meetings(regions), own) for p in meet[1:])
+    return list(dict.fromkeys(chain(vertices, meets)))
 
 
 def common_witness(regions: Sequence[Region]) -> Optional[Point2]:

@@ -42,6 +42,7 @@ from ribbonkit.geometry import (
     segment_intersection,
     segment_point_distance_sq,
     segment_segment_distance_sq,
+    vertex_centroid,
 )
 from ribbonkit.homology import Bitmap
 from ribbonkit.nerves import Region, SimplicialComplex
@@ -182,7 +183,7 @@ def reference_witness(regions):
                         for p in inter[1:]:
                             push(p)
     for r in regions:
-        for p in r.interior_samples():
+        for p in [vertex_centroid(loop.points) for loop in r.loops]:
             push(p)
     for p in candidates:
         if all(r.contains(p) for r in regions):

@@ -194,6 +194,33 @@ def test_cli_rejects_non_finite_coordinate(spelling, tmp_path, capsys):
     assert "is not an exact decimal" in error["message"]
 
 
+_BIG = "1" + "0" * 4999  # past the int-to-string digit limit of Python
+
+
+# Oversized numbers are schema errors: an exponent is rejected unread, and an
+# integer literal past the digit limit is invalid JSON.
+@pytest.mark.parametrize(
+    "old, new, error",
+    (
+        ('"format_version":1', '"format_version":1,"threshold":"1e5000"', "NonCanonicalRational"),
+        ('["-4/5","21/20"]', '["1e5000","21/20"]', "NonCanonicalRational"),
+        ('"i0":["0",', '"i0":["1e5000",', "NonCanonicalRational"),
+        ('"i0":["0",', '"i0":[%s,' % _BIG, "SchemaViolation"),
+    ),
+    ids=("threshold", "hole", "vertex", "integer_literal"),
+)
+def test_cli_rejects_oversized_numbers(old, new, error, tmp_path, capsys):
+    text = (GOLDEN / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
+    assert old in text
+    path = tmp_path / "big.rcx"
+    path.write_text(text.replace(old, new, 1), encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert json.loads(line)["error"] == error
+
+
 def test_cli_two_vertex_cycle_exits_schema(tmp_path, capsys):
     path = tmp_path / "short.rcx"
     path.write_text(

@@ -12,7 +12,7 @@ from helpers import (
     reference_rasterize,
 )
 
-from ribbonkit import gallery
+from ribbonkit import gallery, homology
 from ribbonkit.division import Frame
 from ribbonkit.errors import (
     CollectionTooLarge,
@@ -442,3 +442,23 @@ def test_clearance_matches_unpruned_reference():
         assert got == reference_clearance_sq(regions), regions
         positive += bool(got)
     assert positive > 20  # the pruning is exercised, not only the early return on 0
+
+
+def test_clearance_reads_zero_off_the_nerves_meeting_scan(monkeypatch):
+    # The first two regions are far apart, the last two cross: the meeting
+    # scan answers 0 before any segment distance is taken.
+    calls = []
+    distance = homology.segment_segment_distance_sq
+    monkeypatch.setattr(
+        homology, "segment_segment_distance_sq", lambda *a: calls.append(a) or distance(*a)
+    )
+    regions = [
+        Region(loops=(_rect(0, 0, 1, 1),)),
+        Region(loops=(_rect(20, 20, 21, 21),)),
+        Region(loops=(_rect(5, 5, 8, 7),)),
+        Region(loops=(_rect(6, 6, 10, 9),)),
+    ]
+    assert min_boundary_clearance_sq(regions) == 0
+    assert calls == []
+    assert min_boundary_clearance_sq(regions[:3]) == reference_clearance_sq(regions[:3]) > 0
+    assert calls

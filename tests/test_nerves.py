@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 from random import Random
 
@@ -15,8 +16,15 @@ from helpers import (
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import CollectionTooLarge, EmptyCollection, TooFewVertices
-from ribbonkit.geometry import point
-from ribbonkit.nerves import Region, SimplicialComplex, common_witness, nerve, ribbon_nerve
+from ribbonkit.geometry import PointLocation, ScaledLoop, point, polygon_area2, segment_meetings
+from ribbonkit.nerves import (
+    Region,
+    SimplicialComplex,
+    _candidate_points,
+    common_witness,
+    nerve,
+    ribbon_nerve,
+)
 from ribbonkit.ribbons import RibbonComplex, make_filled_cycle
 
 
@@ -207,3 +215,123 @@ def test_maximal_simplices_of_twelve_nested_squares():
     sc = nerve(regions)
     assert len(sc.simplices) == 4095
     assert sc.maximal_simplices() == (tuple(range(12)),)
+
+
+def _loop(*xy):
+    return [point(x, y) for x, y in xy]
+
+
+def test_nerve_sees_a_piece_cornered_only_by_its_own_loops():
+    # The strip minus the U-shaped loop keeps the square [4, 6] x [4, 6],
+    # whose corners are all crossings of the strip with the U.  The triangle
+    # holds that square, its edges and corners lie off the strip's region,
+    # and neither loop's vertex centroid is in the square.
+    strip = _loop((0, 4), (20, 4), (20, 6), (0, 6))
+    u = _loop((2, 0), (8, 0), (8, 10), (6, 10), (6, 3), (4, 3), (4, 10), (2, 10))
+    notched = Region(loops=(strip,), excluded=(u,))
+    wedge = Region(loops=(_loop(("7/2", "7/2"), ("13/2", "7/2"), (5, 100)),))
+    regions = [notched, wedge]
+    assert notched.contains(point(5, 5)) and wedge.contains(point(5, 5))
+    assert frozenset({0, 1}) in nerve(regions).simplices
+    w = common_witness(regions)
+    assert w is not None and notched.contains(w) and wedge.contains(w)
+
+
+_QUARTER_GRID = [point(Fraction(i, 4), Fraction(j, 4)) for i in range(33) for j in range(33)]
+
+
+def _grid_rect(rng):
+    x0, x1 = sorted(rng.sample(range(9), 2))
+    y0, y1 = sorted(rng.sample(range(9), 2))
+    return _loop((x0, y0), (x1, y0), (x1, y1), (x0, y1))
+
+
+def _grid_loop(rng):
+    if rng.random() < 0.5:
+        return _grid_rect(rng)
+    while True:
+        loop = _loop(*((rng.randint(0, 8), rng.randint(0, 8)) for _ in range(3)))
+        if polygon_area2(loop):
+            return loop
+
+
+def _meeting_loop(rng, other):
+    """A random loop whose boundary meets the boundary of ``other``."""
+    while True:
+        loop = ScaledLoop(_grid_loop(rng))
+        if next(segment_meetings(other.segments, loop.segments), None) is not None:
+            return loop
+
+
+def _grid_region(rng):
+    """A plain rectangle, a loop minus one or two loops crossing it, or
+    the union of two overlapping loops; never without a point of the grid."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return Region(loops=(_grid_rect(rng),))
+    outer = ScaledLoop(_grid_loop(rng))
+    if kind == 1:
+        holes = tuple(_meeting_loop(rng, outer) for _ in range(rng.randint(1, 2)))
+        region = Region(loops=(outer,), excluded=holes)
+        return region if any(map(region.contains, _QUARTER_GRID)) else _grid_region(rng)
+    return Region(loops=(outer, _meeting_loop(rng, outer)))
+
+
+def _channel_pair(rng):
+    """A strip cut by two crossing holes, and a rectangle over the piece
+    between them whose corners and edges lie in the holes or off the
+    strip; all of it under one random symmetry of the square [0, 8]^2."""
+    p0, c0, p1, q0, c1, q1 = sorted(rng.sample(range(9), 6))
+    t0, s0, s1, t1 = sorted(rng.sample(range(9), 4))
+    swap, fx, fy = (rng.random() < 0.5 for _ in range(3))
+
+    def rect(x0, y0, x1, y1):
+        out = []
+        for x, y in ((x0, y0), (x1, y0), (x1, y1), (x0, y1)):
+            x, y = (y, x) if swap else (x, y)
+            out.append((8 - x if fx else x, 8 - y if fy else y))
+        return _loop(*out)
+
+    holes = (rect(p0, 0, p1, 8), rect(q0, 0, q1, 8))
+    return [Region(loops=(rect(0, s0, 8, s1),), excluded=holes), Region(loops=(rect(c0, t0, c1, t1),))]
+
+
+def _exactness_failures(regions):
+    """Ways in which ``nerve`` and ``common_witness`` miss what the points
+    of the 1/4 grid over [0, 8]^2 show, checked by ``Region.contains``."""
+    sc = nerve(regions)
+    out = []
+    for p in _QUARTER_GRID:
+        held = frozenset(k for k, r in enumerate(regions) if r.contains(p))
+        if held and held not in sc.simplices:
+            out.append(("no simplex", p, held))
+    for s in sc.simplices:
+        w = common_witness([regions[k] for k in sorted(s)])
+        if w is None or not all(regions[k].contains(w) for k in s):
+            out.append(("no witness", s, w))
+    return out
+
+
+# An independent oracle: every set of regions that share a grid point is a
+# simplex, and every simplex has a witness in all its regions.  About half the
+# families hold a strip cut into pieces whose corners are all crossings of
+# its own loops, and a rectangle over one of those pieces.
+def test_nerve_is_exact_on_random_grid_families():
+    rng = Random(4409)
+    failures = []
+    for family in range(60):
+        regions = [_grid_region(rng) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            regions += _channel_pair(rng)
+        rng.shuffle(regions)
+        found = _exactness_failures(regions)
+        if found:
+            failures.append((family, found[:3]))
+    assert failures == []
+
+
+def test_five_ribbon_candidates_lie_on_boundaries():
+    regions = [Region.from_ribbon(r) for r in gallery.five_ribbon_complex().rbx.ribbons]
+    loops = [loop for r in regions for loop in r.loops + r.excluded]
+    for p in _candidate_points(regions):
+        assert any(loop.classify(p) is PointLocation.ON_BOUNDARY for loop in loops), p
