@@ -45,6 +45,13 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def _quoted(text: str) -> str:
+    """``text`` for an error message: whole when short, else a prefix and the length."""
+    if len(text) <= 40:
+        return repr(text)
+    return f"{text[:20]!r}... ({len(text)} characters)"
+
+
 def parse_rational(raw, path: str) -> Fraction:
     """Parse a document rational; strings must already be canonical."""
     if isinstance(raw, bool):
@@ -58,15 +65,16 @@ def parse_rational(raw, path: str) -> Fraction:
             raise NonCanonicalRational(f"{path}: {exc}") from exc
     if isinstance(raw, str):
         if not _RATIONAL.fullmatch(raw):
-            raise NonCanonicalRational(f"{path}: {raw!r} is not a canonical rational")
+            raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a canonical rational")
         num, _, den = raw.partition("/")
         try:
             value = Fraction(int(num), int(den or 1))
         except (ValueError, ZeroDivisionError) as exc:
-            raise NonCanonicalRational(f"{path}: {raw!r} is not a rational") from exc
+            raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a rational") from exc
         if format_rational(value) != raw:
             raise NonCanonicalRational(
-                f"{path}: {raw!r} is not canonical (expected {format_rational(value)!r})"
+                f"{path}: {_quoted(raw)} is not canonical"
+                f" (expected {_quoted(format_rational(value))})"
             )
         return value
     raise SchemaViolation(f"{path}: expected a rational, got {type(raw).__name__}")

@@ -81,10 +81,6 @@ class VertexNotOnInnerBoundary(RibbonError):
     pass
 
 
-class NotDownwardClosed(RibbonError):
-    pass
-
-
 class NonConvexRegion(RibbonError):
     pass
 

@@ -17,7 +17,6 @@ from .errors import (
     EmptyCollection,
     FrameTooSmall,
     NonConvexRegion,
-    NotDownwardClosed,
 )
 from .geometry import (
     Lattice,
@@ -72,18 +71,13 @@ def _gf2_rank(vectors: Sequence[int]) -> int:
 def z2_betti(sc: SimplicialComplex) -> Tuple[int, int]:
     """(b0, b1) of the complex over Z/2, from boundary-matrix ranks.
 
-    Simplices above dimension 2 are ignored; the 2-skeleton determines
-    both ranks.
+    Only the 2-skeleton determines both ranks, and it is read off the
+    facets: the full closure is never built.
     """
-    if not sc.is_downward_closed():
-        raise NotDownwardClosed("simplex set is not closed under taking faces")
-    n0 = len(sc.simplices_of_dim(0))
-    n1 = len(sc.simplices_of_dim(1))
-    rank1 = _gf2_rank(boundary_matrix(sc, 1).columns)
+    d1 = boundary_matrix(sc, 1)
+    rank1 = _gf2_rank(d1.columns)
     rank2 = _gf2_rank(boundary_matrix(sc, 2).columns)
-    b0 = n0 - rank1
-    b1 = n1 - rank1 - rank2
-    return (b0, b1)
+    return (len(d1.rows) - rank1, len(d1.cols) - rank1 - rank2)
 
 
 Run = Tuple[int, int]

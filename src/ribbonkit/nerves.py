@@ -9,22 +9,25 @@ in one pass over the arrangement of all region boundaries:
    meeting of two loops, of one region or of two.  Region pairs and segment
    pairs whose bounding boxes are disjoint cannot meet and are skipped.
 2. Each candidate is classified against every region with
-   :meth:`Region.contains`, giving the bitmask of the regions that hold it.
-3. The nerve is the downward closure of the maximal masks.
+   :meth:`Region.contains`, giving the set of regions that hold it.
+3. The nerve is stored as its facets, the maximal such sets; every other
+   simplex is a face of one, and the downward closure is built on demand.
 
 This is exact when each loop is simple, which :class:`Region` does not
 check.  A nonempty common intersection of a subcollection is then compact,
 and its lexicographically least point is a vertex of the arrangement of
 the loops: a point inside one edge and off every other loop has a lower
 neighbour along that edge, in the same regions.  The global candidate list
-holds every such vertex, so every simplex has a witness whose mask holds
-it, and no mask holds a subcollection without a common point.
+holds every such vertex, so every simplex, a single region included, has
+a witness whose set holds it, and no set holds a subcollection without a
+common point.
 :func:`common_witness` searches the same candidate list restricted to the
 regions it is given.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
@@ -124,67 +127,55 @@ def common_witness(regions: Sequence[Region]) -> Optional[Point2]:
 
 @dataclass(frozen=True)
 class SimplicialComplex:
-    """Abstract simplicial complex on labelled vertices."""
+    """Abstract simplicial complex on labelled vertices, stored as its facets.
+
+    The complex is the downward closure of the nonempty ``facets`` given.
+    Construction keeps only the maximal ones, as sorted tuples in sorted
+    order, so any generating set may be passed.
+    """
 
     vertex_labels: Tuple[str, ...]
-    simplices: FrozenSet[FrozenSet[int]]
+    facets: Tuple[Tuple[int, ...], ...]
 
-    def is_downward_closed(self) -> bool:
-        for s in self.simplices:
-            if len(s) > 1:
-                for facet in combinations(sorted(s), len(s) - 1):
-                    if frozenset(facet) not in self.simplices:
-                        return False
-        return True
+    def __post_init__(self):
+        kept: List[FrozenSet[int]] = []
+        for g in sorted({frozenset(g) for g in self.facets if g}, key=len, reverse=True):
+            if not any(g <= k for k in kept):
+                kept.append(g)
+        object.__setattr__(self, "facets", tuple(sorted(tuple(sorted(g)) for g in kept)))
 
-    def maximal_simplices(self) -> Tuple[Tuple[int, ...], ...]:
-        """Simplices with no coface; assumes the complex is downward closed.
-
-        In a downward-closed complex a simplex with any proper coface also
-        has one a vertex larger, so only the cofaces ``s | {v}`` are tried.
-        """
-        simplices = self.simplices
-        vertices = frozenset().union(*simplices)
-        maximal = [
-            s
-            for s in simplices
-            if not any(s | {v} in simplices for v in vertices - s)
-        ]
-        return tuple(sorted(tuple(sorted(s)) for s in maximal))
+    @cached_property
+    def simplices(self) -> FrozenSet[FrozenSet[int]]:
+        """Every nonempty face of every facet, built on first use."""
+        return frozenset(
+            frozenset(c)
+            for f in self.facets
+            for k in range(1, len(f) + 1)
+            for c in combinations(f, k)
+        )
 
     def simplices_of_dim(self, d: int) -> Tuple[FrozenSet[int], ...]:
-        return tuple(
-            sorted((s for s in self.simplices if len(s) == d + 1), key=sorted)
-        )
+        """The ``d``-simplices in sorted order, read off the facets alone."""
+        faces = {c for f in self.facets for c in combinations(f, d + 1)}
+        return tuple(map(frozenset, sorted(faces)))
 
 
 def nerve(regions: Sequence[Region]) -> SimplicialComplex:
-    """All nonempty subcollections with a common point, downward closed."""
+    """All nonempty subcollections with a common point, stored as the maximal ones."""
     if not regions:
         raise EmptyCollection("nerve of an empty collection")
     if len(regions) > 20:
         raise CollectionTooLarge(f"nerve enumeration capped at 20 regions, got {len(regions)}")
-    masks = set()
-    for p in _candidate_points(regions):
-        masks.add(sum(1 << i for i, r in enumerate(regions) if r.contains(p)))
-    masks.discard(0)
-    simplices = {frozenset((i,)) for i in range(len(regions))}
-    for m in masks:
-        if any(m & other == m for other in masks if other != m):
-            continue  # not maximal: its faces come with a larger mask
-        members = [i for i in range(len(regions)) if m >> i & 1]
-        for k in range(2, len(members) + 1):
-            simplices.update(frozenset(c) for c in combinations(members, k))
-    return SimplicialComplex(
-        vertex_labels=tuple(r.label for r in regions),
-        simplices=frozenset(simplices),
-    )
+    held = {
+        tuple(i for i, r in enumerate(regions) if r.contains(p)) for p in _candidate_points(regions)
+    }
+    return SimplicialComplex(vertex_labels=tuple(r.label for r in regions), facets=tuple(held))
 
 
 def _ribbon_groups(rbx: RibbonComplex, sc: SimplicialComplex) -> Tuple[RibbonNerve, ...]:
-    """The maximal simplices of ``sc``, the nerve of ``rbx``, as ribbon groups."""
+    """The facets of ``sc``, the nerve of ``rbx``, as ribbon groups."""
     out = []
-    for g in sc.maximal_simplices():
+    for g in sc.facets:
         members = tuple(rbx.ribbons[i] for i in g)
         out.append(
             RibbonNerve(members, label="+".join(m.label or f"r{i}" for i, m in zip(g, members)))

@@ -1,6 +1,7 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
-level-wise nerve enumerator, the per-pixel raster with its breadth-first
+level-wise nerve enumerator, the closure-based complex (maximal search and
+ranks over every simplex), the per-pixel raster with its breadth-first
 counts, the unpruned clearance loop, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
@@ -44,8 +45,8 @@ from ribbonkit.geometry import (
     segment_segment_distance_sq,
     vertex_centroid,
 )
-from ribbonkit.homology import Bitmap
-from ribbonkit.nerves import Region, SimplicialComplex
+from ribbonkit.homology import Bitmap, _gf2_rank
+from ribbonkit.nerves import Region
 from ribbonkit.ribbons import (
     Filament,
     FilledCycle,
@@ -191,12 +192,13 @@ def reference_witness(regions):
     return None
 
 
-def reference_nerve(regions) -> SimplicialComplex:
-    """Level-wise nerve: a candidate simplex whose facets are all in is
-    kept iff its own regions have a common witness."""
+def reference_nerve(regions) -> frozenset:
+    """The simplices of the level-wise nerve: a region is a vertex iff it
+    has a witness, and a candidate simplex whose facets are all in is kept
+    iff its own regions have a common witness."""
     n = len(regions)
-    simplices = {frozenset((i,)) for i in range(n)}
-    level = [frozenset((i,)) for i in range(n)]
+    level = [frozenset((i,)) for i in range(n) if reference_witness([regions[i]]) is not None]
+    simplices = set(level)
     while level:
         next_level = []
         seen = set()
@@ -215,10 +217,53 @@ def reference_nerve(regions) -> SimplicialComplex:
                     simplices.add(cand)
                     next_level.append(cand)
         level = next_level
-    return SimplicialComplex(
-        vertex_labels=tuple(r.label for r in regions),
-        simplices=frozenset(simplices),
+    return frozenset(simplices)
+
+
+def reference_closure(generators) -> frozenset:
+    """Every nonempty subset of every generator."""
+    return frozenset(
+        frozenset(c)
+        for g in generators
+        for k in range(1, len(g) + 1)
+        for c in combinations(sorted(g), k)
     )
+
+
+def reference_facets(simplices) -> Tuple[Tuple[int, ...], ...]:
+    """The simplices of a set with no strict superset in it, by definition."""
+    maximal = [s for s in simplices if not any(s < t for t in simplices)]
+    return tuple(sorted(tuple(sorted(s)) for s in maximal))
+
+
+def is_downward_closed(simplices) -> bool:
+    return all(
+        frozenset(f) in simplices
+        for s in simplices
+        if len(s) > 1
+        for f in combinations(sorted(s), len(s) - 1)
+    )
+
+
+def reference_simplices_of_dim(simplices, d: int) -> tuple:
+    return tuple(sorted((s for s in simplices if len(s) == d + 1), key=sorted))
+
+
+def reference_z2_betti(simplices) -> Tuple[int, int]:
+    """(b0, b1) over Z/2 from boundary matrices over the whole simplex set,
+    which must be downward closed."""
+    assert is_downward_closed(simplices)
+    ranks = []
+    for d in (1, 2):
+        row_index = {s: i for i, s in enumerate(reference_simplices_of_dim(simplices, d - 1))}
+        columns = [
+            sum(1 << row_index[col - {v}] for v in col)
+            for col in reference_simplices_of_dim(simplices, d)
+        ]
+        ranks.append(_gf2_rank(columns))
+    n0 = len(reference_simplices_of_dim(simplices, 0))
+    n1 = len(reference_simplices_of_dim(simplices, 1))
+    return (n0 - ranks[0], n1 - ranks[0] - ranks[1])
 
 
 def translate_ribbon(r: Ribbon, dx, dy) -> Ribbon:

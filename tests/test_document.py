@@ -198,7 +198,8 @@ _BIG = "1" + "0" * 4999  # past the int-to-string digit limit of Python
 
 
 # Oversized numbers are schema errors: an exponent is rejected unread, and an
-# integer literal past the digit limit is invalid JSON.
+# integer literal past the digit limit is invalid JSON.  The error line quotes
+# no more than a prefix of the number.
 @pytest.mark.parametrize(
     "old, new, error",
     (
@@ -206,8 +207,9 @@ _BIG = "1" + "0" * 4999  # past the int-to-string digit limit of Python
         ('["-4/5","21/20"]', '["1e5000","21/20"]', "NonCanonicalRational"),
         ('"i0":["0",', '"i0":["1e5000",', "NonCanonicalRational"),
         ('"i0":["0",', '"i0":[%s,' % _BIG, "SchemaViolation"),
+        ('"i0":["0",', '"i0":["%s",' % _BIG, "NonCanonicalRational"),
     ),
-    ids=("threshold", "hole", "vertex", "integer_literal"),
+    ids=("threshold", "hole", "vertex", "integer_literal", "digit_string"),
 )
 def test_cli_rejects_oversized_numbers(old, new, error, tmp_path, capsys):
     text = (GOLDEN / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
@@ -219,6 +221,7 @@ def test_cli_rejects_oversized_numbers(old, new, error, tmp_path, capsys):
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert json.loads(line)["error"] == error
+    assert len(line) < 300
 
 
 def test_cli_two_vertex_cycle_exits_schema(tmp_path, capsys):

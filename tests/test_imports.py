@@ -53,6 +53,29 @@ def test_no_unreferenced_private_definitions():
     assert len(private) > 0 and unreferenced == []
 
 
+def test_every_error_class_is_raised():
+    # An error class that nothing raises, directly or through a subclass, is
+    # a dead entry in the documented exception hierarchy.
+    classes = {
+        node.name: {base.id for base in node.bases if isinstance(base, ast.Name)}
+        for node in ast.parse((SRC / "errors.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    live = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                live.add(exc.id if isinstance(exc, ast.Name) else getattr(exc, "attr", None))
+    pending = list(live & classes.keys())
+    while pending:
+        for base in classes[pending.pop()] & classes.keys():
+            if base not in live:
+                live.add(base)
+                pending.append(base)
+    assert len(classes) > 1 and sorted(classes.keys() - live) == []
+
+
 def _absolute_imports(path: Path):
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):

@@ -1,22 +1,27 @@
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 import pytest
 
 from helpers import (
     add_rect_loop,
+    is_downward_closed,
     random_grid_rect_family,
     random_rect_family,
     random_rect_ribbon,
+    reference_closure,
+    reference_facets,
     reference_nerve,
+    reference_simplices_of_dim,
     reference_witness,
+    reference_z2_betti,
 )
 
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import CollectionTooLarge, EmptyCollection, TooFewVertices
 from ribbonkit.geometry import PointLocation, ScaledLoop, point, polygon_area2, segment_meetings
+from ribbonkit.homology import z2_betti
 from ribbonkit.nerves import (
     Region,
     SimplicialComplex,
@@ -95,7 +100,7 @@ def test_nerve_of_nested_chain_is_full_simplex():
     sc = nerve(regions)
     assert frozenset({0, 1, 2}) in sc.simplices
     assert len(sc.simplices) == 7  # all nonempty subsets
-    assert sc.is_downward_closed()
+    assert sc.facets == ((0, 1, 2),)
 
 
 def test_nerve_caps_collection_size():
@@ -112,7 +117,7 @@ def test_nerve_downward_closed_and_monotone_on_random_families():
     for _ in range(30):
         regions = random_rect_family(rng, max_rects=5)
         sc = nerve(regions)
-        assert sc.is_downward_closed()
+        assert is_downward_closed(sc.simplices)
         if len(regions) >= 2:
             smaller = nerve(regions[:-1])
             assert smaller.simplices <= sc.simplices  # adding a region removes nothing
@@ -152,11 +157,11 @@ def test_ribbon_nerve_groups_cover_and_witness():
 def test_maximal_simplices():
     sc = SimplicialComplex(
         vertex_labels=("a", "b", "c"),
-        simplices=frozenset(
+        facets=frozenset(
             {frozenset({0}), frozenset({1}), frozenset({2}), frozenset({0, 1})}
         ),
     )
-    assert sc.maximal_simplices() == ((0, 1), (2,))
+    assert sc.facets == ((0, 1), (2,))
 
 
 def _oracle_families():
@@ -183,30 +188,46 @@ def _oracle_families():
         yield [Region.from_ribbon(r) for r in rbx.ribbons]
 
 
+def _check_against_closure(sc, simplices):
+    """``sc`` agrees with the closure-based references over ``simplices``."""
+    assert sc.simplices == simplices
+    assert sc.facets == reference_facets(simplices)
+    for d in range(4):
+        assert sc.simplices_of_dim(d) == reference_simplices_of_dim(simplices, d), d
+    assert z2_betti(sc) == reference_z2_betti(simplices)
+
+
 def test_nerve_matches_level_wise_reference():
     for regions in _oracle_families():
-        assert nerve(regions).simplices == reference_nerve(regions).simplices, regions
+        _check_against_closure(nerve(regions), reference_nerve(regions))
         assert common_witness(regions) == reference_witness(regions), regions
 
 
-def _brute_force_maximal(sc):
-    maximal = [s for s in sc.simplices if not any(s < t for t in sc.simplices)]
-    return tuple(sorted(tuple(sorted(s)) for s in maximal))
+def _random_generators(rng, n):
+    """Random vertex sets on ``range(n)``, with duplicates, nested sets and
+    empty sets mixed in, or singletons only."""
+    if rng.random() < 0.15:
+        return [(i,) for i in rng.sample(range(n), rng.randint(1, n))]
+    gens = [rng.sample(range(n), rng.randint(0, n)) for _ in range(rng.randint(0, 5))]
+    for g in list(gens):
+        if g and rng.random() < 0.3:
+            gens.append(rng.sample(g, rng.randint(1, len(g))))  # a face of g, maybe g again
+    rng.shuffle(gens)
+    return gens
 
 
 def test_maximal_simplices_match_definition_on_random_complexes():
     rng = Random(77)
-    for _ in range(200):
+    for _ in range(300):
         n = rng.randint(1, 7)
-        tops = [
-            frozenset(rng.sample(range(n), rng.randint(1, n))) for _ in range(rng.randint(1, 5))
-        ]
-        simplices = frozenset(
-            frozenset(c) for t in tops for k in range(1, len(t) + 1) for c in combinations(sorted(t), k)
-        )
-        sc = SimplicialComplex(tuple(f"v{i}" for i in range(n)), simplices)
-        assert sc.is_downward_closed()
-        assert sc.maximal_simplices() == _brute_force_maximal(sc)
+        gens = _random_generators(rng, n)
+        labels = tuple(f"v{i}" for i in range(n))
+        simplices = reference_closure(gens)
+        sc = SimplicialComplex(labels, tuple(gens))
+        _check_against_closure(sc, simplices)
+        assert SimplicialComplex(labels, simplices) == sc  # the closure generates the same complex
+    empty = SimplicialComplex(("a",), ())
+    assert empty.facets == () and empty.simplices == frozenset() and z2_betti(empty) == (0, 0)
 
 
 def test_maximal_simplices_of_twelve_nested_squares():
@@ -214,7 +235,22 @@ def test_maximal_simplices_of_twelve_nested_squares():
     regions = [_square_region(k, f"s{i}", i, i, 30 - i, 30 - i) for i in range(12)]
     sc = nerve(regions)
     assert len(sc.simplices) == 4095
-    assert sc.maximal_simplices() == (tuple(range(12)),)
+    assert sc.facets == (tuple(range(12)),)
+
+
+def test_empty_region_is_no_vertex():
+    # The triangle lies in the closed rectangle, touching its boundary only
+    # at (1, 4), which is inside the second excluded triangle: nothing is left.
+    empty = Region(
+        loops=(_loop((4, 7), (2, 6), (1, 4)),),
+        excluded=(_loop((1, 3), (6, 3), (6, 8), (1, 8)), _loop((0, 4), (7, 1), (0, 6))),
+    )
+    square = Region(loops=(_loop((0, 0), (1, 0), (1, 1), (0, 1)),))
+    assert common_witness([empty]) is None
+    sc = nerve([square, empty])
+    assert sc.facets == ((0,),)
+    assert sc.simplices == reference_nerve([square, empty]) == frozenset({frozenset({0})})
+    assert z2_betti(sc) == (1, 0)
 
 
 def _loop(*xy):
