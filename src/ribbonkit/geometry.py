@@ -248,9 +248,9 @@ class ScaledLoop:
             raise TooFewVertices(f"a polygon needs at least 3 vertices, got {len(points)}")
         self.segments = boxed_segments(points)
         self.bbox = bounding_box(points)
-        lattice = Lattice(points)
-        self.den = lattice.s
-        self.xs, self.ys = map(list, zip(*map(lattice.ints, points)))
+        self.den = s = Lattice(points).s
+        self.xs = [p.x.numerator * (s // p.x.denominator) for p in points]
+        self.ys = [p.y.numerator * (s // p.y.denominator) for p in points]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -260,31 +260,36 @@ class ScaledLoop:
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
-        k = m // self.den
         px = p.x.numerator * (m // p.x.denominator)
         py = p.y.numerator * (m // p.y.denominator)
-        xs, ys = self.xs, self.ys
-        if k > 1:
-            xs, ys = [x * k for x in xs], [y * k for y in ys]
-        inside = False
-        x1, y1 = xs[-1], ys[-1]
-        for x2, y2 in zip(xs, ys):
-            if (y1 > py) != (y2 > py):
-                # The edge spans the query's row, so p is on it iff on its line.
-                cr = (x2 - x1) * (py - y1) - (y2 - y1) * (px - x1)
-                if cr == 0:
-                    return PointLocation.ON_BOUNDARY
-                if (cr > 0) == (y2 > y1):
-                    inside = not inside
-            elif (
-                (y1 == py or y2 == py)
-                and min(x1, x2) <= px <= max(x1, x2)
-                and (x2 - x1) * (py - y1) == (y2 - y1) * (px - x1)
-            ):
-                # Otherwise p can be on the edge only at an endpoint's row.
+        return lattice_location(self.xs, self.ys, px, py, m // self.den)
+
+
+def lattice_location(xs: List[int], ys: List[int], x: int, y: int, d: int) -> PointLocation:
+    """Classify the point ``(x / d, y / d)``, ``d > 0``, against the closed
+    loop with the integer vertices ``(xs[i], ys[i])``, by the parity of the
+    loop's crossings of the point's row."""
+    if d != 1:
+        xs, ys = [v * d for v in xs], [v * d for v in ys]
+    inside = False
+    x1, y1 = xs[-1], ys[-1]
+    for x2, y2 in zip(xs, ys):
+        if (y1 > y) != (y2 > y):
+            # The edge spans the query's row, so the point is on it iff on its line.
+            cr = (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1)
+            if cr == 0:
                 return PointLocation.ON_BOUNDARY
-            x1, y1 = x2, y2
-        return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+            if (cr > 0) == (y2 > y1):
+                inside = not inside
+        elif (
+            (y1 == y or y2 == y)
+            and min(x1, x2) <= x <= max(x1, x2)
+            and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
+        ):
+            # Otherwise the point can be on the edge only at an endpoint's row.
+            return PointLocation.ON_BOUNDARY
+        x1, y1 = x2, y2
+    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
 def as_scaled_loop(loop: Sequence[Point2]) -> ScaledLoop:

@@ -26,7 +26,7 @@ from .geometry import (
     segment_segment_distance_sq,
     simple_polygon,
 )
-from .nerves import Region, SimplicialComplex, boundary_meetings, nerve
+from .nerves import Region, SimplicialComplex, boundary_meetings, family_lattice, nerve
 
 
 @dataclass(frozen=True)
@@ -268,7 +268,7 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     apart is skipped: the box gap bounds its distance from below, so the
     minimum is the one of the full double loop.
     """
-    if next(boundary_meetings(regions), None) is not None:
+    if next(boundary_meetings(family_lattice(regions)[1]), None) is not None:
         return Fraction(0)
     best: Optional[Fraction] = None
     for i, r1 in enumerate(regions):

@@ -4,12 +4,16 @@ The nerve of a collection is the abstract simplicial complex of all
 nonempty subcollections whose members share a common point.  It is built
 in one pass over the arrangement of all region boundaries:
 
-1. One candidate list for the whole family: the vertices of the
+1. :func:`family_lattice` rescales the family once to integers: ``s`` is
+   the lcm of its loops' denominators ``ScaledLoop.den``.
+2. One candidate list for the whole family: the vertices of the
    arrangement of all boundary loops, that is every loop vertex and every
-   meeting of two loops, of one region or of two.  Region pairs and segment
-   pairs whose bounding boxes are disjoint cannot meet and are skipped.
-2. Each candidate is classified against every region with
-   :meth:`Region.contains`, giving the set of regions that hold it.
+   meeting of two loops, of one region or of two, as gcd-reduced lattice
+   points ``(X, Y, D)``.  Region pairs and segment pairs whose integer boxes
+   are disjoint cannot meet and are skipped.  Each candidate is tested
+   against each region's box, then its loops with
+   :func:`~ribbonkit.geometry.lattice_location`, giving the set of regions
+   that hold it.  Only a returned witness is built as a :class:`Point2`.
 3. The nerve is stored as its facets, the maximal such sets; every other
    simplex is a face of one, and the downward closure is built on demand.
 
@@ -27,8 +31,10 @@ regions it is given.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
+from math import gcd, lcm
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CollectionTooLarge, EmptyCollection
@@ -39,7 +45,7 @@ from .geometry import (
     as_scaled_loop,
     bounding_box,
     boxes_meet,
-    segment_meetings,
+    lattice_location,
 )
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
 
@@ -57,8 +63,15 @@ class Region:
         self.excluded = tuple(map(as_scaled_loop, self.excluded))
         if not self.loops:
             raise EmptyCollection("a region needs at least one loop")
-        self.segments = [s for loop in self.loops + self.excluded for s in loop.segments]
-        self.bbox = bounding_box(self.boundary_vertices())
+
+    # The nerve reads a region's lattice form only, so these are built on use.
+    @cached_property
+    def segments(self) -> list:
+        return [s for loop in self.loops + self.excluded for s in loop.segments]
+
+    @cached_property
+    def bbox(self) -> tuple:
+        return bounding_box(self.boundary_vertices())
 
     @classmethod
     def from_cycle(cls, c: FilledCycle, label: str = "") -> "Region":
@@ -86,32 +99,117 @@ class Region:
         return f"Region({self.label or len(self.loops)})"
 
 
-def boundary_meetings(regions: Sequence[Region]) -> Iterator[tuple]:
-    """The :func:`segment_intersection` of each meeting of two boundaries of
-    distinct regions, region pair by region pair; pairs of regions whose
-    bounding boxes are disjoint cannot meet and are skipped."""
-    for i, r1 in enumerate(regions):
-        for r2 in regions[i + 1 :]:
-            if boxes_meet(r1.bbox, r2.bbox):
-                for _, _, meet in segment_meetings(r1.segments, r2.segments):
+LatticePoint = Tuple[int, int, int]
+
+
+class LatticeRegion:
+    """A region on its family's integer lattice: ``loops`` and ``excluded``
+    as ``(xs, ys)`` lists of ``int``, their ``box``, and the segments of
+    each loop in turn (``rings``) and of all (``segments``), each segment
+    an ``(x1, y1, x2, y2, xmin, ymin, xmax, ymax)`` tuple."""
+
+    __slots__ = ("box", "loops", "excluded", "rings", "segments")
+
+    def __init__(self, region: Region, s: int):
+        def scaled(loop: ScaledLoop):
+            k = s // loop.den
+            return (loop.xs, loop.ys) if k == 1 else ([x * k for x in loop.xs], [y * k for y in loop.ys])
+
+        self.loops = [scaled(loop) for loop in region.loops]
+        self.excluded = [scaled(loop) for loop in region.excluded]
+        every = self.loops + self.excluded
+        self.rings = [
+            [
+                (x1, y1, x2, y2, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+                for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+            ]
+            for xs, ys in every
+        ]
+        self.segments = [g for ring in self.rings for g in ring]
+        self.box = (
+            min(min(xs) for xs, _ in every),
+            min(min(ys) for _, ys in every),
+            max(max(xs) for xs, _ in every),
+            max(max(ys) for _, ys in every),
+        )
+
+    def holds(self, x: int, y: int, d: int) -> bool:
+        """The region holds the lattice point ``(x / d, y / d)``."""
+        x0, y0, x1, y1 = self.box
+        if x < x0 * d or x > x1 * d or y < y0 * d or y > y1 * d:
+            return False
+        if all(lattice_location(xs, ys, x, y, d) is PointLocation.OUTSIDE for xs, ys in self.loops):
+            return False
+        return all(lattice_location(xs, ys, x, y, d) is not PointLocation.INSIDE for xs, ys in self.excluded)
+
+
+def family_lattice(regions: Sequence[Region]) -> Tuple[int, List[LatticeRegion]]:
+    """``s``, the lcm of the family's loop denominators, and each region
+    rescaled by it."""
+    s = lcm(*(loop.den for r in regions for loop in r.loops + r.excluded))
+    return s, [LatticeRegion(r, s) for r in regions]
+
+
+def _meet(a: tuple, b: tuple) -> Optional[Tuple[LatticePoint, ...]]:
+    """The meeting of two lattice segments as the points ``(X, Y, D)`` of
+    :func:`~ribbonkit.geometry.segment_intersection`, or None."""
+    ax, ay, bx, by = a[:4]
+    cx, cy, dx, dy = b[:4]
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    acx, acy = cx - ax, cy - ay
+    denom = rx * sy - ry * sx
+    if denom:
+        tn = acx * sy - acy * sx
+        un = acx * ry - acy * rx
+        if denom < 0:
+            denom, tn, un = -denom, -tn, -un
+        if not (0 <= tn <= denom and 0 <= un <= denom):
+            return None
+        x, y = ax * denom + tn * rx, ay * denom + tn * ry
+        g = gcd(x, y, denom)
+        return ((x // g, y // g, denom // g),)
+    if acx * ry - acy * rx or acx * sy - acy * sx:
+        return None  # not on one line; either test alone decides unless a segment is a point
+    lo = max(min((ax, ay), (bx, by)), min((cx, cy), (dx, dy)))
+    hi = min(max((ax, ay), (bx, by)), max((cx, cy), (dx, dy)))
+    if lo > hi:
+        return None
+    return ((*lo, 1),) if lo == hi else ((*lo, 1), (*hi, 1))
+
+
+def _meetings(first: list, second: list) -> Iterator[Tuple[LatticePoint, ...]]:
+    """:func:`_meet` of each meeting pair, row-major, skipping disjoint boxes."""
+    for a in first:
+        for b in second:
+            if a[4] <= b[6] and b[4] <= a[6] and a[5] <= b[7] and b[5] <= a[7]:
+                meet = _meet(a, b)
+                if meet is not None:
                     yield meet
 
 
-def _candidate_points(regions: Sequence[Region]) -> List[Point2]:
-    """The vertices of the arrangement of all boundary loops.
+def boundary_meetings(family: Sequence[LatticeRegion]) -> Iterator[Tuple[LatticePoint, ...]]:
+    """The meetings of two boundaries of distinct regions of a
+    :func:`family_lattice`, region pair by region pair, each a tuple: one
+    point ``(X, Y, D)``, or the two ends of a collinear overlap in
+    lexicographic order.  The point is ``(X / D, Y / D)`` on the lattice,
+    with ``D > 0`` and ``gcd(X, Y, D) == 1``.  Region pairs whose boxes are
+    disjoint cannot meet and are skipped."""
+    for i, r1 in enumerate(family):
+        for r2 in family[i + 1 :]:
+            if boxes_meet(r1.box, r2.box):
+                yield from _meetings(r1.segments, r2.segments)
 
-    In order: every boundary vertex, every meeting of two boundaries of
+
+def _candidate_points(family: Sequence[LatticeRegion]) -> List[LatticePoint]:
+    """The vertices of the arrangement of all boundary loops as lattice
+    points: every boundary vertex, every meeting of two boundaries of
     distinct regions, every meeting of two loops of one region; duplicates
-    dropped.
-    """
-    own = (
-        meet
-        for r in regions
-        for k, l in combinations(r.loops + r.excluded, 2)
-        for _, _, meet in segment_meetings(k.segments, l.segments)
+    dropped."""
+    vertices = (
+        (x, y, 1) for r in family for xs, ys in r.loops + r.excluded for x, y in zip(xs, ys)
     )
-    vertices = (p for r in regions for p in r.boundary_vertices())
-    meets = (p for meet in chain(boundary_meetings(regions), own) for p in meet[1:])
+    own = (meet for r in family for k, l in combinations(r.rings, 2) for meet in _meetings(k, l))
+    meets = (p for meet in chain(boundary_meetings(family), own) for p in meet)
     return list(dict.fromkeys(chain(vertices, meets)))
 
 
@@ -119,9 +217,10 @@ def common_witness(regions: Sequence[Region]) -> Optional[Point2]:
     """A point in the common intersection of all regions, if one exists."""
     if not regions:
         raise EmptyCollection("witness search over an empty collection")
-    for p in _candidate_points(regions):
-        if all(r.contains(p) for r in regions):
-            return p
+    s, family = family_lattice(regions)
+    for x, y, d in _candidate_points(family):
+        if all(r.holds(x, y, d) for r in family):
+            return Point2(Fraction(x, d * s), Fraction(y, d * s))
     return None
 
 
@@ -166,8 +265,10 @@ def nerve(regions: Sequence[Region]) -> SimplicialComplex:
         raise EmptyCollection("nerve of an empty collection")
     if len(regions) > 20:
         raise CollectionTooLarge(f"nerve enumeration capped at 20 regions, got {len(regions)}")
+    family = family_lattice(regions)[1]
     held = {
-        tuple(i for i, r in enumerate(regions) if r.contains(p)) for p in _candidate_points(regions)
+        tuple(i for i, r in enumerate(family) if r.holds(x, y, d))
+        for x, y, d in _candidate_points(family)
     }
     return SimplicialComplex(vertex_labels=tuple(r.label for r in regions), facets=tuple(held))
 

@@ -1,7 +1,8 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
-level-wise nerve enumerator, the closure-based complex (maximal search and
-ranks over every simplex), the per-pixel raster with its breadth-first
+level-wise nerve enumerator, the rational-arithmetic nerve, witness and
+candidate list, the closure-based complex (maximal search and ranks over
+every simplex), the per-pixel raster with its breadth-first
 counts, the unpruned clearance loop, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
@@ -41,6 +42,7 @@ from ribbonkit.geometry import (
     point,
     polygon_area2,
     segment_intersection,
+    segment_meetings,
     segment_point_distance_sq,
     segment_segment_distance_sq,
     vertex_centroid,
@@ -157,6 +159,81 @@ def random_grid_rect_family(rng: Random, max_rects: int = 6, side: int = 4):
     return regions
 
 
+SLANTED_DENOMINATORS = (1, 2, 3, 7)
+_ON_LINE = (Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(2, 7), Fraction(1), Fraction(3, 2))
+
+
+def _slanted_point(rng: Random) -> Point2:
+    q = rng.choice(SLANTED_DENOMINATORS)
+    return Point2(Fraction(rng.randint(0, 4 * q), q), Fraction(rng.randint(0, 4 * q), q))
+
+
+def _along(a: Point2, b: Point2, t: Fraction) -> Point2:
+    return Point2(a.x + t * (b.x - a.x), a.y + t * (b.y - a.y))
+
+
+def _slanted_loop(rng: Random, pool: List[Point2], edges: List[Tuple[Point2, Point2]]) -> List[Point2]:
+    """A triangle or a convex quad of nonzero area, now and then with one
+    vertex repeated.
+
+    Its vertices come fresh on the 1, 1/2, 1/3 or 1/7 grid over [0, 4], or
+    from ``pool``; or it leans on one of ``edges``: two vertices on the
+    edge's line (a collinear overlap or a shared vertex) or one inside the
+    edge (a touching boundary).
+    """
+    while True:
+        kind = rng.randrange(4 if edges else 2)
+        if kind == 1:  # a convex quad p, p + u, p + a u + b v, p + v
+            p, u, v = (_slanted_point(rng) for _ in range(3))
+            (ux, uy), (vx, vy) = (u.x - 2, u.y - 2), (v.x - 2, v.y - 2)
+            a, b = rng.choice(((1, 1), (Fraction(3, 2), Fraction(1, 2)), (2, Fraction(1, 3))))
+            loop = [
+                p,
+                Point2(p.x + ux, p.y + uy),
+                Point2(p.x + a * ux + b * vx, p.y + a * uy + b * vy),
+                Point2(p.x + vx, p.y + vy),
+            ]
+        elif kind == 2:
+            a, b = rng.choice(edges)
+            t, u = rng.sample(_ON_LINE, 2)
+            loop = [_along(a, b, t), _along(a, b, u), _slanted_point(rng)]
+        elif kind == 3:
+            a, b = rng.choice(edges)
+            loop = [_along(a, b, rng.choice(_ON_LINE[2:5])), _slanted_point(rng), _slanted_point(rng)]
+        else:
+            loop = [rng.choice(pool) if pool and rng.random() < 0.3 else _slanted_point(rng) for _ in range(3)]
+        if polygon_area2(loop) == 0 or len(set(loop)) < len(loop):
+            continue
+        if rng.random() < 0.1:  # a repeated vertex, so one segment is a point
+            k = rng.randrange(len(loop))
+            loop.insert(k, loop[k])
+        pool.extend(loop)
+        edges.extend(loop_segments(loop))
+        return loop
+
+
+def random_slanted_family(rng: Random, max_regions: int = 4) -> List[Region]:
+    """Regions of slanted triangles and quads with coordinate denominators
+    1, 2, 3 and 7 that share vertices, overlap along collinear edges and
+    touch; some regions are a loop minus another loop leaning on it, or the
+    union of two such loops, so their own loops meet."""
+    pool: List[Point2] = []
+    edges: List[Tuple[Point2, Point2]] = []
+    regions = []
+    for i in range(rng.randint(1, max_regions)):
+        outer = _slanted_loop(rng, pool, edges)
+        kind = rng.randrange(3)
+        if kind == 0:
+            regions.append(Region(loops=(outer,), label=f"s{i}"))
+            continue
+        other = _slanted_loop(rng, pool, loop_segments(outer))
+        if kind == 1:
+            regions.append(Region(loops=(outer,), excluded=(other,), label=f"s{i}"))
+        else:
+            regions.append(Region(loops=(outer, other), label=f"s{i}"))
+    return regions
+
+
 def reference_witness(regions):
     """First point, in candidate order, held by every region; or None.
 
@@ -218,6 +295,52 @@ def reference_nerve(regions) -> frozenset:
                     next_level.append(cand)
         level = next_level
     return frozenset(simplices)
+
+
+def fraction_boundary_meetings(regions) -> List[Tuple[Point2, ...]]:
+    """The points of each meeting of two boundaries of distinct regions, in
+    ``Fraction`` arithmetic, region pair by region pair; region pairs with
+    disjoint boxes are skipped."""
+    return [
+        meet[1:]
+        for i, r1 in enumerate(regions)
+        for r2 in regions[i + 1 :]
+        if boxes_meet(r1.bbox, r2.bbox)
+        for _, _, meet in segment_meetings(r1.segments, r2.segments)
+    ]
+
+
+def fraction_candidate_points(regions) -> List[Point2]:
+    """The nerve's candidate list in ``Fraction`` arithmetic: every boundary
+    vertex, every meeting of two boundaries of distinct regions, then every
+    meeting of two loops of one region; duplicates dropped."""
+    own = (
+        meet[1:]
+        for r in regions
+        for k, l in combinations(r.loops + r.excluded, 2)
+        for _, _, meet in segment_meetings(k.segments, l.segments)
+    )
+    vertices = (p for r in regions for p in r.boundary_vertices())
+    meets = (p for meet in chain(fraction_boundary_meetings(regions), own) for p in meet)
+    return list(dict.fromkeys(chain(vertices, meets)))
+
+
+def fraction_common_witness(regions) -> Optional[Point2]:
+    """First ``Fraction`` candidate held by every region, by ``Region.contains``."""
+    for p in fraction_candidate_points(regions):
+        if all(r.contains(p) for r in regions):
+            return p
+    return None
+
+
+def fraction_nerve_facets(regions) -> Tuple[Tuple[int, ...], ...]:
+    """The facets of the nerve, from the ``Fraction`` candidates and
+    ``Region.contains``."""
+    held = {
+        tuple(i for i, r in enumerate(regions) if r.contains(p))
+        for p in fraction_candidate_points(regions)
+    }
+    return reference_facets(reference_closure(held))
 
 
 def reference_closure(generators) -> frozenset:

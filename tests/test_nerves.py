@@ -1,14 +1,22 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 from random import Random
 
 import pytest
 
 from helpers import (
     add_rect_loop,
+    fraction_boundary_meetings,
+    fraction_candidate_points,
+    fraction_common_witness,
+    fraction_nerve_facets,
     is_downward_closed,
     random_grid_rect_family,
     random_rect_family,
     random_rect_ribbon,
+    random_slanted_family,
+    reference_clearance_sq,
     reference_closure,
     reference_facets,
     reference_nerve,
@@ -20,13 +28,22 @@ from helpers import (
 from ribbonkit import gallery
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import CollectionTooLarge, EmptyCollection, TooFewVertices
-from ribbonkit.geometry import PointLocation, ScaledLoop, point, polygon_area2, segment_meetings
-from ribbonkit.homology import z2_betti
+from ribbonkit.geometry import (
+    Point2,
+    PointLocation,
+    ScaledLoop,
+    point,
+    polygon_area2,
+    segment_meetings,
+)
+from ribbonkit.homology import min_boundary_clearance_sq, z2_betti
 from ribbonkit.nerves import (
     Region,
     SimplicialComplex,
     _candidate_points,
+    boundary_meetings,
     common_witness,
+    family_lattice,
     nerve,
     ribbon_nerve,
 )
@@ -366,8 +383,66 @@ def test_nerve_is_exact_on_random_grid_families():
     assert failures == []
 
 
+def _as_points(s, points):
+    """Lattice points ``(X, Y, D)`` of scale ``s`` as :class:`Point2` values."""
+    return tuple(Point2(Fraction(x, d * s), Fraction(y, d * s)) for x, y, d in points)
+
+
+def _lattice_candidates(regions):
+    """The nerve's candidate list as :class:`Point2` values."""
+    s, family = family_lattice(regions)
+    return list(_as_points(s, _candidate_points(family)))
+
+
 def test_five_ribbon_candidates_lie_on_boundaries():
     regions = [Region.from_ribbon(r) for r in gallery.five_ribbon_complex().rbx.ribbons]
     loops = [loop for r in regions for loop in r.loops + r.excluded]
-    for p in _candidate_points(regions):
+    for p in _lattice_candidates(regions):
         assert any(loop.classify(p) is PointLocation.ON_BOUNDARY for loop in loops), p
+
+
+def _check_against_fraction_oracle(regions):
+    """The integer boundary meetings, candidates, facets and the witness of
+    every subfamily are those of the ``Fraction`` code they replaced, in the
+    same order, and the clearance reads 0 exactly when the unpruned
+    reference does."""
+    s, family = family_lattice(regions)
+    meetings = [_as_points(s, meet) for meet in boundary_meetings(family)]
+    assert meetings == fraction_boundary_meetings(regions), regions
+    assert _lattice_candidates(regions) == fraction_candidate_points(regions), regions
+    assert nerve(regions).facets == fraction_nerve_facets(regions), regions
+    for k in range(1, len(regions) + 1):
+        for sub in combinations(regions, k):
+            assert common_witness(sub) == fraction_common_witness(sub), sub
+    if len(regions) > 1:
+        assert (min_boundary_clearance_sq(regions) == 0) == (reference_clearance_sq(regions) == 0)
+
+
+def test_nerve_matches_fraction_oracle_on_slanted_families():
+    rng = Random(1507)
+    crossings = overlaps = own_meetings = 0
+    for _ in range(150):
+        regions = random_slanted_family(rng)
+        _check_against_fraction_oracle(regions)
+        s, family = family_lattice(regions)
+        points = _candidate_points(family)
+        for x, y, d in points:
+            assert d > 0 and gcd(x, y, d) == 1
+        crossings += sum(d > 1 for _, _, d in points)
+        overlaps += sum(len(meet) == 2 for meet in boundary_meetings(family))
+        own_meetings += sum(
+            next(segment_meetings(k.segments, l.segments), None) is not None
+            for r in regions
+            for k, l in combinations(r.loops + r.excluded, 2)
+        )
+    # The families reach off-lattice crossings, collinear overlaps and
+    # regions whose loops meet.
+    assert crossings > 100 and overlaps > 20 and own_meetings > 30, (crossings, overlaps, own_meetings)
+
+
+def test_nerve_matches_fraction_oracle_on_grid_families():
+    for regions in _oracle_families():
+        _check_against_fraction_oracle(regions)
+    rng = Random(4410)
+    for _ in range(30):
+        _check_against_fraction_oracle([_grid_region(rng) for _ in range(rng.randint(1, 3))])
