@@ -3,8 +3,11 @@
 A complex is structurally sound when it satisfies two conditions:
 containment (every face of a cell is a cell of the complex) and
 intersection (whenever two cell realizations meet, the overlap is a union
-of cells of the complex).  :func:`validate_cw` reports violations of both
-as data instead of raising.
+of cells of the complex).  The second is the Alexandroff-Hopf-Whitehead
+condition: two cells meet in a common face or not at all.
+:func:`validate_cw` reports violations of both as data instead of raising;
+it settles most cell pairs from vertex ids and integer signs and clips
+only the rest.
 """
 from __future__ import annotations
 
@@ -17,13 +20,11 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .errors import DegenerateCell, UnknownCellId
 from .geometry import (
     Lattice,
-    Orientation,
     Point2,
     bounding_box,
     boxes_meet,
     cross_value,
     on_segment,
-    orientation,
     polygon_area2,
     segment_intersection,
 )
@@ -82,9 +83,8 @@ class CellComplex:
         if len({a, b, c}) != 3:
             raise DegenerateCell("triangle needs three distinct vertices")
         pts = [self.vertices.get(v) for v in (a, b, c)]
-        if all(p is not None for p in pts):
-            if orientation(*pts) is Orientation.COLLINEAR:
-                raise DegenerateCell(f"triangle {a},{b},{c} is collinear")
+        if None not in pts and cross_value(*pts) == 0:
+            raise DegenerateCell(f"triangle {a},{b},{c} is collinear")
         if tid is None:
             tid = "--".join(sorted((a, b, c)))
         if tid in self.cells:
@@ -270,30 +270,76 @@ def _realized_box(r):
 
 def _pair_intersection(r1, r2):
     """Geometric intersection of two realized cells."""
+    if r1[0] > r2[0]:  # "point" < "seg" < "tri"
+        r1, r2 = r2, r1
     kinds = (r1[0], r2[0])
     if kinds == ("point", "point"):
         return ("point", r1[1]) if r1[1] == r2[1] else None
     if kinds == ("point", "seg"):
         return ("point", r1[1]) if on_segment(r1[1], r2[1], r2[2]) else None
-    if kinds == ("seg", "point"):
-        return _pair_intersection(r2, r1)
     if kinds == ("point", "tri"):
         return ("point", r1[1]) if _point_in_convex(r1[1], r2[1]) else None
-    if kinds == ("tri", "point"):
-        return _pair_intersection(r2, r1)
     if kinds == ("seg", "seg"):
         inter = segment_intersection(r1[1], r1[2], r2[1], r2[2])
-        if inter is None:
-            return None
-        if inter[0] == "point":
-            return inter
-        return ("seg", inter[1], inter[2])
+        return inter if inter is None or inter[0] == "point" else ("seg", *inter[1:])
     if kinds == ("seg", "tri"):
         return _clip_segment_to_triangle(r1[1], r1[2], r2[1])
-    if kinds == ("tri", "seg"):
-        return _pair_intersection(r2, r1)
-    clipped = convex_clip(r1[1], r2[1])
-    return _classify_poly(clipped)
+    return _classify_poly(convex_clip(r1[1], r2[1]))
+
+
+class _Shape:
+    """A realized cell read by :func:`validate_cw`: ``at[S]``, for each
+    proper subset ``S`` of its ids, holds its edge lines through all of
+    ``S``, its points off ``S``, and the hull of ``S`` if that is an edge;
+    None for a collinear triangle.  A line ``(dx, dy, c)`` has the cell
+    inside and ``(x, y)`` strictly outside iff ``dx * y - dy * x < c``; an
+    edge has both sides of its line."""
+
+    __slots__ = ("ids", "realized", "at")
+
+    def __init__(self, vids, points, realized):
+        self.ids = frozenset(vids)
+        self.realized = realized
+        n = len(points)
+        area = cross_value(*points) if n == 3 else 1
+        if area == 0:
+            self.at = None
+            return
+        if area < 0:
+            vids, points = vids[::-1], points[::-1]
+        pts = tuple([(p.x, p.y) for p in points])
+        lines = [(bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
+                 for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
+        self.at = at = {frozenset(): (lines, pts, None)}
+        for s in range(n):
+            at[frozenset((vids[s],))] = ((lines[s], lines[s - 1]), pts[:s] + pts[s + 1 :], None)
+            if n == 3:
+                edge = _classify_poly([points[s], points[s - 2]])
+                at[frozenset((vids[s], vids[s - 2]))] = ((lines[s],), (pts[s - 1],), edge)
+
+
+def _strictly_outside(lines, pts) -> bool:
+    """True iff one of ``lines`` has every point of ``pts`` strictly outside."""
+    for dx, dy, c in lines:
+        for x, y in pts:
+            if dx * y - dy * x >= c:
+                break
+        else:
+            return True
+    return False
+
+
+def _meeting(a: _Shape, b: _Shape):
+    """What of two cells' intersection :func:`validate_cw` must check, or None."""
+    if a.ids < b.ids or b.ids < a.ids:
+        return None
+    if a.at is not None and b.at is not None and a.ids != b.ids:
+        shared = a.ids & b.ids
+        lines, rest, meet = a.at[shared]
+        lines_b, rest_b, _ = b.at[shared]
+        if _strictly_outside(lines, rest_b) or _strictly_outside(lines_b, rest):
+            return meet
+    return _pair_intersection(a.realized, b.realized)
 
 
 def _containment_violations(k: CellComplex) -> List[str]:
@@ -425,7 +471,22 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     The intersection check works on the complex scaled once by the lcm of
     its coordinate denominators, so every predicate is an integer test;
     points in the report are scaled back.  Cell pairs come from a bucket
-    grid over the cell boxes, in sorted-id order.
+    grid over the cell boxes, in sorted-id order.  Cells are the convex
+    hulls of their vertices, and two rules settle a pair before any clip:
+
+    1. A cell whose ids are a proper subset of the other's is its face and
+       their intersection: a vertex, or an edge covering itself.  Equal id
+       sets (duplicates) are clipped.
+    2. Let ``L`` be an edge line of one cell through all shared ids ``S``.
+       If the other cell's vertices off ``S`` are strictly outside ``L``,
+       it meets the first cell's closed side of ``L`` only in the hull of
+       ``S``, which lies in both: the cells are disjoint, meet in a
+       vertex, or are triangles on opposite sides of a shared edge, which
+       must be covered by edges.
+
+    Strict tests send touching cells, collinear rays, zero-length edges
+    and twin vertices to the clip.  Collinear triangles skip rule 2: the
+    clip reads them as their carrier line.
     """
     lattice = Lattice(k.vertices.values())
     coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
@@ -433,9 +494,10 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     for cid, cell in k.cells.items():
         r = _realize(cell, coords)
         if r is not None:
-            realized[cid] = r
+            realized[cid] = _Shape(cell.vertex_ids, [coords[v] for v in cell.vertex_ids], r)
     ids = sorted(realized)
-    cells = [realized[cid] for cid in ids]
+    shapes = [realized[cid] for cid in ids]
+    cells = [shape.realized for shape in shapes]
     boxes = [_realized_box(r) for r in cells]
     lines = _edge_lines(cells)
     vertex_coords = {(p.x, p.y) for p in coords.values()}
@@ -446,12 +508,12 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     intersection: List[str] = []
     grid = _Buckets(boxes)
     for i, c1 in enumerate(ids):
-        r1, b1 = cells[i], boxes[i]
+        s1, b1 = shapes[i], boxes[i]
         for j in sorted(j for j in grid.near(grid.keys[i]) if j > i):
             if not boxes_meet(b1, boxes[j]):
                 continue
             c2 = ids[j]
-            inter = _pair_intersection(r1, cells[j])
+            inter = _meeting(s1, shapes[j])
             if inter is None:
                 continue
             if inter[0] == "point":

@@ -392,7 +392,7 @@ def point_in_polygon(
 
 def polygon_area2(loop: Sequence[Point2]) -> Fraction:
     """Signed doubled area (positive for counterclockwise loops)."""
-    total = Fraction(0)
+    total = 0
     n = len(loop)
     for i in range(n):
         a, b = loop[i], loop[(i + 1) % n]

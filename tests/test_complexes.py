@@ -5,7 +5,7 @@ import pytest
 
 from helpers import reference_validate_cw
 
-from ribbonkit import gallery
+from ribbonkit import complexes, gallery
 from ribbonkit.complexes import (
     CellComplex,
     CellKind,
@@ -20,8 +20,10 @@ from ribbonkit.complexes import (
 from ribbonkit.errors import DegenerateCell, UnknownCellId
 from ribbonkit.geometry import (
     Lattice,
+    Orientation,
     Point2,
     PointLocation,
+    orientation,
     point,
     point_in_polygon,
     segment_intersection,
@@ -292,6 +294,70 @@ def test_touching_boxes_case_sits_on_a_bucket_boundary():
     assert any("share segment (3, 2)-(3, 4)" in line for line in lines)
 
 
+def _incidence_case(name, d, vertices, cells, late=(), drop=()) -> CellComplex:
+    """A complex at coordinates ``(x / d, y / d)``: ``cells`` are edges or
+    triangles (with an optional id), ``late`` vertices are bound after the
+    cells, so a triangle on them may be collinear, and ``drop`` edges are
+    removed last."""
+    k = CellComplex(f"{name}/{d}")
+    bind = lambda vid, x, y: k.add_vertex(vid, point(Fraction(x, d), Fraction(y, d)))
+    for vid, (x, y) in vertices.items():
+        bind(vid, x, y)
+    for cell in cells:
+        if len(cell) == 2:
+            k.add_edge(*cell)
+        else:
+            k.add_triangle(*cell)
+    for vid, (x, y) in late:
+        bind(vid, x, y)
+    for a, b in drop:
+        _drop_edge(k, a, b)
+    return k
+
+
+def _incidence_cases(d: int):
+    """Complexes aimed at each incidence rule of validate_cw, and at the
+    degenerate pairs that must fall back to clipping."""
+    tri = {"a": (0, 0), "b": (6, 0), "c": (0, 6)}
+    return [
+        # two triangles on one edge, third vertices on the same side,
+        # crossing or nested, and on opposite sides with the edge missing
+        _incidence_case("same-side", d, {**tri, "e": (4, 3)}, [("a", "b", "c"), ("a", "b", "e")]),
+        _incidence_case("nested", d, {**tri, "e": (2, 1)}, [("a", "b", "c"), ("a", "b", "e")]),
+        _incidence_case("opposite", d, {**tri, "e": (3, -2)}, [("a", "b", "c"), ("b", "a", "e")],
+                        drop=[("a", "b")]),
+        # a triangle poking into a neighbour's wedge at a shared vertex,
+        # one lying in the opposite wedge, one along a side's ray
+        _incidence_case("wedge", d, {**tri, "p": (4, 1), "q": (1, -3), "r": (-2, -1), "s": (-1, -2),
+                                     "t": (9, 0), "u": (8, -2)},
+                        [("a", "b", "c"), ("a", "p", "q"), ("a", "r", "s"), ("a", "t", "u"), ("a", "p")]),
+        # edges leaving a shared vertex along a triangle side: past its
+        # end, short of it, backwards, and along a side whose edge is gone
+        _incidence_case("along", d, {**tri, "w": (9, 0), "m": (0, 2), "n": (0, -4), "z": (-3, 3)},
+                        [("a", "b", "c"), ("a", "w"), ("c", "m"), ("c", "n"), ("a", "z")]),
+        _incidence_case("along-missing", d, {**tri, "w": (9, 0)}, [("a", "b", "c"), ("a", "w")],
+                        drop=[("a", "b")]),
+        # collinear triangles, their third vertex bound after add_triangle:
+        # past the shared edge, inside it, and beside cells that touch
+        # only the carrier line, in both id orders
+        _incidence_case("flat", d, {"a": (0, 0), "b": (2, 0), "f": (1, 2)},
+                        [("a", "b", "c", "t1"), ("a", "b", "e", "t2"), ("a", "b", "f", "t3")],
+                        late=[("c", (4, 0)), ("e", (1, 0))], drop=[("a", "c"), ("b", "c")]),
+        _incidence_case("flat-line", d,
+                        {"a": (0, 0), "b": (2, 0), "g": (6, -1), "h": (6, 1), "z": (8, 0),
+                         "m": (-2, 1), "n": (-2, -1), "p": (5, 2), "q": (3, 3)},
+                        [("a", "b", "c", "t1"), ("g", "h"), ("a", "m", "n", "t0"), ("c", "p", "q", "t2")],
+                        late=[("c", (4, 0))]),
+        # two triangle cells on the same three ids, in both orientations
+        _incidence_case("twice", d, tri, [("a", "b", "c"), ("a", "b", "c", "dup"), ("c", "b", "a", "dup2")]),
+        # cells that touch without sharing an id: a vertex on a side, sides
+        # overlapping on one line, an edge ending on a side
+        _incidence_case("touch", d, {**tri, "p": (3, 3), "q": (6, 4), "r": (4, 6), "s": (3, 0),
+                                     "t": (8, 0), "u": (5, -2), "v": (1, -1), "w": (2, 0)},
+                        [("a", "b", "c"), ("p", "q", "r"), ("s", "t", "u"), ("v", "w")]),
+    ]
+
+
 def test_validate_cw_matches_reference():
     rng = Random(4417)
     cases = []
@@ -313,9 +379,37 @@ def test_validate_cw_matches_reference():
             _inject(rng, k, n, m)
         cases.append(k)
     cases.extend(_random_soup(rng) for _ in range(120))
+    for d in (1, 2, 3, 7):
+        cases.extend(_incidence_cases(d))
     invalid = 0
     for k in cases:
         got = validate_cw(k)
         assert got.lines() == reference_validate_cw(k).lines(), k.name
         invalid += not got.valid
     assert invalid >= 60
+
+
+def test_valid_complexes_are_settled_without_clipping(monkeypatch):
+    """On a valid triangulation with no flipped triangle, and on the gallery,
+    integer signs settle every pair of a triangle with an edge or triangle."""
+    calls = []
+    for name in ("convex_clip", "_clip_segment_to_triangle"):
+        clip = getattr(complexes, name)
+        monkeypatch.setattr(complexes, name, lambda *a, _clip=clip, _name=name: calls.append(_name) or _clip(*a))
+    rng = Random(8)
+    while True:
+        grid = _perturbed_triangulation(rng, 8, 8)
+        triangles = [cid for cid, cell in grid.cells.items() if cell.kind is CellKind.TRIANGLE]
+        if len(triangles) == 128 and all(
+            orientation(*grid.cell_points(cid)) is Orientation.COUNTERCLOCKWISE for cid in triangles
+        ):
+            break
+    for k in (grid, *(build().complex for build in (
+        gallery.two_hole_ribbon,
+        gallery.shared_vertex_pair,
+        gallery.triple_vortex,
+        gallery.five_ribbon_complex,
+        gallery.filament_ribbon,
+    ))):
+        assert validate_cw(k).valid, k.name
+    assert calls == []
