@@ -17,6 +17,7 @@ from .errors import FrameTooSmall, PointOutsideFrame
 from .geometry import (
     Lattice,
     Point2,
+    bounding_box,
     lattice_row_runs,
     loop_segments,
     segment_point_distance_sq,
@@ -61,7 +62,7 @@ class Frame:
 
 def frame_around(r: Ribbon, margin) -> Frame:
     """Axis-aligned frame enclosing the ribbon with the given margin."""
-    x0, y0, x1, y1 = r.outer.shape.bbox
+    x0, y0, x1, y1 = bounding_box(r.outer.points)
     m = to_fraction(margin)
     return Frame(Point2(x0 - m, y0 - m), Point2(x1 + m, y1 + m))
 

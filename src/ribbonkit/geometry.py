@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import groupby
-from math import isfinite, lcm
+from math import gcd, isfinite, lcm
 from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -94,11 +94,70 @@ def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
     )
 
 
-def _lex(p: Point2) -> Tuple[Fraction, Fraction]:
-    return (p.x, p.y)
-
-
 SegmentIntersection = Optional[Tuple]
+LatticePoint = Tuple[int, int, int]
+
+
+def lattice_point(p: Point2, s: int) -> Tuple[int, int]:
+    """``p`` times ``s`` as a pair of ``int``, for ``s`` a multiple of the
+    denominators of its coordinates."""
+    return (p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator))
+
+
+def lattice_ring(xs: Sequence[int], ys: Sequence[int]) -> list:
+    """The closed run of edges through the integer vertices ``(xs[i], ys[i])``,
+    each an ``(x1, y1, x2, y2, xmin, ymin, xmax, ymax)`` tuple."""
+    return [
+        (x1, y1, x2, y2, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+    ]
+
+
+def lattice_meet(a: tuple, b: tuple) -> Optional[Tuple[LatticePoint, ...]]:
+    """The meeting of the closed integer segments ``a`` and ``b``, given by
+    their first four entries ``(x1, y1, x2, y2)``, or None.
+
+    It is one point ``(X, Y, D)``, or the two ends of a collinear overlap in
+    lexicographic order; a point stands for ``(X / D, Y / D)``, with
+    ``D > 0`` and ``gcd(X, Y, D) == 1``.  This is the one test of whether
+    two segments meet.
+    """
+    ax, ay, bx, by = a[:4]
+    cx, cy, dx, dy = b[:4]
+    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
+    acx, acy = cx - ax, cy - ay
+    denom = rx * sy - ry * sx
+    if denom:
+        # The meeting is at parameters tn / denom along ab and un / denom
+        # along cd, both in [0, 1].
+        tn = acx * sy - acy * sx
+        un = acx * ry - acy * rx
+        if denom < 0:
+            denom, tn, un = -denom, -tn, -un
+        if not (0 <= tn <= denom and 0 <= un <= denom):
+            return None
+        x, y = ax * denom + tn * rx, ay * denom + tn * ry
+        g = gcd(x, y, denom)
+        return ((x // g, y // g, denom // g),)
+    if acx * ry - acy * rx or acx * sy - acy * sx:
+        return None  # not on one line; either test alone decides unless a segment is a point
+    lo = max(min((ax, ay), (bx, by)), min((cx, cy), (dx, dy)))
+    hi = min(max((ax, ay), (bx, by)), max((cx, cy), (dx, dy)))
+    if lo > hi:
+        return None
+    return ((*lo, 1),) if lo == hi else ((*lo, 1), (*hi, 1))
+
+
+def lattice_meetings(first: list, second: list) -> Iterator[Tuple[LatticePoint, ...]]:
+    """:func:`lattice_meet` of each meeting pair of ``first[i]`` and
+    ``second[j]``, in row-major order; pairs whose boxes, the last four
+    entries of each tuple, are disjoint cannot meet and are skipped."""
+    for a in first:
+        for b in second:
+            if a[4] <= b[6] and b[4] <= a[6] and a[5] <= b[7] and b[5] <= a[7]:
+                meet = lattice_meet(a, b)
+                if meet is not None:
+                    yield meet
 
 
 def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentIntersection:
@@ -106,43 +165,17 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentI
 
     Returns ``None``, ``("point", p)`` or ``("segment", p, q)`` where the
     overlap endpoints are in lexicographic order.  Exact for ``int`` as
-    well as ``Fraction`` coordinates.
+    well as ``Fraction`` coordinates: the four points are scaled once to
+    integers and met by :func:`lattice_meet`.
     """
-    if a == b:
-        return ("point", a) if on_segment(a, c, d) else None
-    if c == d:
-        return ("point", c) if on_segment(c, a, b) else None
-    rx, ry = b.x - a.x, b.y - a.y
-    sx, sy = d.x - c.x, d.y - c.y
-    acx, acy = c.x - a.x, c.y - a.y
-    denom = rx * sy - ry * sx
-    if denom != 0:
-        # t = tn / denom and u = un / denom lie in [0, 1] iff tn and un lie
-        # between 0 and denom, whatever its sign; divide only on a hit.
-        tn = acx * sy - acy * sx
-        un = acx * ry - acy * rx
-        if denom > 0:
-            if not (0 <= tn <= denom and 0 <= un <= denom):
-                return None
-        elif not (denom <= tn <= 0 and denom <= un <= 0):
-            return None
-        if tn == 0 or tn == denom:
-            return ("point", a if tn == 0 else b)
-        if un == 0 or un == denom:
-            return ("point", c if un == 0 else d)
-        t = Fraction(tn, denom)
-        return ("point", Point2(a.x + t * rx, a.y + t * ry))
-    if acx * ry - acy * rx != 0:
-        return None  # parallel, different carrier lines
-    lo1, hi1 = sorted((a, b), key=_lex)
-    lo2, hi2 = sorted((c, d), key=_lex)
-    lo = max(lo1, lo2, key=_lex)
-    hi = min(hi1, hi2, key=_lex)
-    if _lex(lo) > _lex(hi):
+    s = lcm(a.x.denominator, a.y.denominator, b.x.denominator, b.y.denominator,
+            c.x.denominator, c.y.denominator, d.x.denominator, d.y.denominator)
+    ab = (*lattice_point(a, s), *lattice_point(b, s))
+    meet = lattice_meet(ab, (*lattice_point(c, s), *lattice_point(d, s)))
+    if meet is None:
         return None
-    if lo == hi:
-        return ("point", lo)
-    return ("segment", lo, hi)
+    kind = "point" if len(meet) == 1 else "segment"
+    return (kind, *[Point2(Fraction(x, e * s), Fraction(y, e * s)) for x, y, e in meet])
 
 
 def loop_segments(loop: Sequence[Point2]) -> list:
@@ -158,15 +191,16 @@ def simple_polygon(loop: Sequence[Point2]) -> bool:
     edges may not meet at all, and vertices must be pairwise distinct.
     """
     shape = as_scaled_loop(loop)
-    loop, segs, n = shape.points, shape.segments, len(shape)
-    if len({_lex(p) for p in loop}) != n:
+    xs, ys, ring, n = shape.xs, shape.ys, shape.ring, len(shape)
+    if len(set(zip(xs, ys))) != n:
         return False
     for i in range(n):
-        # Edges p-q and q-r overlap iff r folds back onto p's side of q.
-        p, q, r = loop[i - 1], loop[i], loop[(i + 1) % n]
-        folds = cross_value(p, q, r) == 0 and (p.x - q.x) * (r.x - q.x) + (p.y - q.y) * (r.y - q.y) > 0
+        # Edges p-q and q-r, q vertex i, overlap iff r folds back onto p's side of q.
+        ux, uy = xs[i - 1] - xs[i], ys[i - 1] - ys[i]
+        vx, vy = xs[i + 1 - n] - xs[i], ys[i + 1 - n] - ys[i]
+        folds = ux * vy == uy * vx and ux * vx + uy * vy > 0
         # Edge i against the later edges that are not next to it.
-        if folds or next(segment_meetings(segs[i : i + 1], segs[i + 2 : i + n - 1]), None):
+        if folds or next(lattice_meetings(ring[i : i + 1], ring[i + 2 : i + n - 1]), None):
             return False
     return True
 
@@ -182,23 +216,6 @@ def bounding_box(points: Iterable[Point2]) -> Tuple[Fraction, Fraction, Fraction
 def boxes_meet(a, b) -> bool:
     """The closed boxes ``(xmin, ymin, xmax, ymax)`` share a point."""
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
-
-
-def boxed_segments(*loops: Sequence[Point2]) -> list:
-    """The edges of each closed loop in turn, as ``(a, b, box)`` triples."""
-    return [(a, b, bounding_box((a, b))) for loop in loops for a, b in loop_segments(loop)]
-
-
-def segment_meetings(first: list, second: list) -> Iterator[tuple]:
-    """``(i, j, meet)`` in row-major order for each ``first[i]`` meeting
-    ``second[j]`` in ``meet``, their :func:`segment_intersection`; both lists
-    come from :func:`boxed_segments`, and pairs with disjoint boxes are skipped."""
-    for i, (a, b, box1) in enumerate(first):
-        for j, (c, d, box2) in enumerate(second):
-            if boxes_meet(box1, box2):
-                meet = segment_intersection(a, b, c, d)
-                if meet is not None:
-                    yield i, j, meet
 
 
 class Lattice:
@@ -221,11 +238,8 @@ class Lattice:
         self.oy = origin.y.numerator * (s // origin.y.denominator)
 
     def ints(self, p: Point2) -> Tuple[int, int]:
-        s = self.s
-        return (
-            p.x.numerator * (s // p.x.denominator) - self.ox,
-            p.y.numerator * (s // p.y.denominator) - self.oy,
-        )
+        x, y = lattice_point(p, self.s)
+        return (x - self.ox, y - self.oy)
 
     def point(self, x, y) -> Point2:
         return Point2(Fraction(x + self.ox, self.s), Fraction(y + self.oy, self.s))
@@ -234,23 +248,27 @@ class Lattice:
 class ScaledLoop:
     """Closed loop of three or more vertices, built once for every check on it.
 
-    It holds its ``points``, their :func:`boxed_segments`, their ``bbox``, and
-    their rescale by the least common denominator ``den`` to the integers
-    ``xs`` and ``ys``, so each point classification only needs integer
-    arithmetic.  It is the read-only sequence of its points.
+    It holds its ``points``, their rescale by the least common denominator
+    ``den`` to the integers ``xs`` and ``ys``, and the :func:`lattice_ring`
+    of those, so each point classification and each meeting test needs only
+    integer arithmetic.  It is the read-only sequence of its points.
     """
 
-    __slots__ = ("points", "segments", "bbox", "den", "xs", "ys")
+    __slots__ = ("points", "den", "xs", "ys", "ring")
 
     def __init__(self, points: Iterable[Point2]):
         self.points = points = tuple(points)
         if len(points) < 3:
             raise TooFewVertices(f"a polygon needs at least 3 vertices, got {len(points)}")
-        self.segments = boxed_segments(points)
-        self.bbox = bounding_box(points)
         self.den = s = Lattice(points).s
         self.xs = [p.x.numerator * (s // p.x.denominator) for p in points]
         self.ys = [p.y.numerator * (s // p.y.denominator) for p in points]
+        self.ring = lattice_ring(self.xs, self.ys)
+
+    def ring_at(self, s: int) -> list:
+        """:attr:`ring` on the lattice of scale ``s``, a multiple of ``den``."""
+        k = s // self.den
+        return self.ring if k == 1 else [tuple(v * k for v in g) for g in self.ring]
 
     def __len__(self) -> int:
         return len(self.points)
@@ -260,9 +278,7 @@ class ScaledLoop:
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
-        px = p.x.numerator * (m // p.x.denominator)
-        py = p.y.numerator * (m // p.y.denominator)
-        return lattice_location(self.xs, self.ys, px, py, m // self.den)
+        return lattice_location(self.xs, self.ys, *lattice_point(p, m), m // self.den)
 
 
 def lattice_location(xs: List[int], ys: List[int], x: int, y: int, d: int) -> PointLocation:

@@ -21,7 +21,7 @@ from .errors import (
 from .geometry import (
     Lattice,
     Point2,
-    cross_value,
+    as_scaled_loop,
     lattice_row_runs,
     segment_segment_distance_sq,
     simple_polygon,
@@ -242,17 +242,17 @@ def is_convex_loop(points: Sequence[Point2]) -> bool:
     n = len(points)
     if n < 3:
         return False
+    loop = as_scaled_loop(points)
+    xs, ys = loop.xs, loop.ys
     signs = set()
-    for i in range(n):
-        det = cross_value(points[i], points[(i + 1) % n], points[(i + 2) % n])
-        if det > 0:
-            signs.add(1)
-        elif det < 0:
-            signs.add(-1)
-    return len(signs) == 1 and simple_polygon(points)
+    for i in range(-2, n - 2):  # the turn at vertex i + 1
+        det = (xs[i + 1] - xs[i]) * (ys[i + 2] - ys[i]) - (ys[i + 1] - ys[i]) * (xs[i + 2] - xs[i])
+        if det:
+            signs.add(det > 0)
+    return len(signs) == 1 and simple_polygon(loop)
 
 
-def _box_gap_sq(a, b) -> Fraction:
+def _box_gap_sq(a, b) -> int:
     """Squared distance between the closed boxes ``(xmin, ymin, xmax, ymax)``."""
     dx = max(a[0] - b[2], b[0] - a[2], 0)
     dy = max(a[1] - b[3], b[1] - a[3], 0)
@@ -263,26 +263,29 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     """Exact minimum squared distance between boundaries of distinct regions.
 
     Zero when two boundaries meet, as the nerve's :func:`boundary_meetings`
-    finds; None for fewer than two regions.  Otherwise a region pair or
-    segment pair whose bounding boxes are at least the best distance so far
-    apart is skipped: the box gap bounds its distance from below, so the
-    minimum is the one of the full double loop.
+    finds; None for fewer than two regions.  Otherwise distances are taken
+    on the family's integer lattice of scale ``s`` and divided by ``s**2``
+    once.  A region pair or segment pair whose boxes are at least the best
+    distance so far apart is skipped: the box gap bounds its distance from
+    below, so the minimum is the one of the full double loop.
     """
-    if next(boundary_meetings(family_lattice(regions)[1]), None) is not None:
+    s, family = family_lattice(regions)
+    if next(boundary_meetings(family), None) is not None:
         return Fraction(0)
-    best: Optional[Fraction] = None
-    for i, r1 in enumerate(regions):
-        for r2 in regions[i + 1 :]:
-            if best is not None and _box_gap_sq(r1.bbox, r2.bbox) >= best:
+    edges = [[(Point2(*g[:2]), Point2(*g[2:4]), g[4:]) for g in r.segments] for r in family]
+    best = None
+    for i, r1 in enumerate(family):
+        for j in range(i + 1, len(family)):
+            if best is not None and _box_gap_sq(r1.box, family[j].box) >= best:
                 continue
-            for a, b, box1 in r1.segments:
-                for c, d, box2 in r2.segments:
+            for a, b, box1 in edges[i]:
+                for c, d, box2 in edges[j]:
                     if best is not None and _box_gap_sq(box1, box2) >= best:
                         continue
                     dist = segment_segment_distance_sq(a, b, c, d)
                     if best is None or dist < best:
                         best = dist
-    return best
+    return None if best is None else Fraction(best, s * s)
 
 
 @dataclass(frozen=True)

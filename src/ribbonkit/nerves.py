@@ -9,11 +9,11 @@ in one pass over the arrangement of all region boundaries:
 2. One candidate list for the whole family: the vertices of the
    arrangement of all boundary loops, that is every loop vertex and every
    meeting of two loops, of one region or of two, as gcd-reduced lattice
-   points ``(X, Y, D)``.  Region pairs and segment pairs whose integer boxes
-   are disjoint cannot meet and are skipped.  Each candidate is tested
-   against each region's box, then its loops with
-   :func:`~ribbonkit.geometry.lattice_location`, giving the set of regions
-   that hold it.  Only a returned witness is built as a :class:`Point2`.
+   points ``(X, Y, D)`` from :func:`~ribbonkit.geometry.lattice_meetings`.
+   Region pairs and segment pairs whose integer boxes are disjoint cannot
+   meet and are skipped.  Each candidate is tested against each region's
+   box, then its loops with :func:`~ribbonkit.geometry.lattice_location`,
+   giving the set of regions that hold it.  Only a returned witness is built as a :class:`Point2`.
 3. The nerve is stored as its facets, the maximal such sets; every other
    simplex is a face of one, and the downward closure is built on demand.
 
@@ -34,18 +34,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations
-from math import gcd, lcm
+from math import lcm
 from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import CollectionTooLarge, EmptyCollection
 from .geometry import (
+    LatticePoint,
     Point2,
     PointLocation,
     ScaledLoop,
     as_scaled_loop,
-    bounding_box,
     boxes_meet,
     lattice_location,
+    lattice_meetings,
 )
 from .ribbons import FilledCycle, Ribbon, RibbonComplex, RibbonNerve
 
@@ -64,15 +65,6 @@ class Region:
         if not self.loops:
             raise EmptyCollection("a region needs at least one loop")
 
-    # The nerve reads a region's lattice form only, so these are built on use.
-    @cached_property
-    def segments(self) -> list:
-        return [s for loop in self.loops + self.excluded for s in loop.segments]
-
-    @cached_property
-    def bbox(self) -> tuple:
-        return bounding_box(self.boundary_vertices())
-
     @classmethod
     def from_cycle(cls, c: FilledCycle, label: str = "") -> "Region":
         return cls(loops=(c.shape,), label=label or c.label)
@@ -82,9 +74,6 @@ class Region:
         return cls(loops=(r.outer.shape,), excluded=(r.inner.shape,), label=label or r.label)
 
     def contains(self, p: Point2) -> bool:
-        b = self.bbox
-        if p.x < b[0] or p.x > b[2] or p.y < b[1] or p.y > b[3]:
-            return False
         if not any(s.classify(p) is not PointLocation.OUTSIDE for s in self.loops):
             return False
         return all(s.classify(p) is not PointLocation.INSIDE for s in self.excluded)
@@ -99,14 +88,11 @@ class Region:
         return f"Region({self.label or len(self.loops)})"
 
 
-LatticePoint = Tuple[int, int, int]
-
-
 class LatticeRegion:
     """A region on its family's integer lattice: ``loops`` and ``excluded``
     as ``(xs, ys)`` lists of ``int``, their ``box``, and the segments of
-    each loop in turn (``rings``) and of all (``segments``), each segment
-    an ``(x1, y1, x2, y2, xmin, ymin, xmax, ymax)`` tuple."""
+    each loop in turn (``rings``, each a :meth:`ScaledLoop.ring_at`) and of
+    all (``segments``)."""
 
     __slots__ = ("box", "loops", "excluded", "rings", "segments")
 
@@ -118,13 +104,7 @@ class LatticeRegion:
         self.loops = [scaled(loop) for loop in region.loops]
         self.excluded = [scaled(loop) for loop in region.excluded]
         every = self.loops + self.excluded
-        self.rings = [
-            [
-                (x1, y1, x2, y2, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
-                for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
-            ]
-            for xs, ys in every
-        ]
+        self.rings = [loop.ring_at(s) for loop in region.loops + region.excluded]
         self.segments = [g for ring in self.rings for g in ring]
         self.box = (
             min(min(xs) for xs, _ in every),
@@ -150,54 +130,16 @@ def family_lattice(regions: Sequence[Region]) -> Tuple[int, List[LatticeRegion]]
     return s, [LatticeRegion(r, s) for r in regions]
 
 
-def _meet(a: tuple, b: tuple) -> Optional[Tuple[LatticePoint, ...]]:
-    """The meeting of two lattice segments as the points ``(X, Y, D)`` of
-    :func:`~ribbonkit.geometry.segment_intersection`, or None."""
-    ax, ay, bx, by = a[:4]
-    cx, cy, dx, dy = b[:4]
-    rx, ry, sx, sy = bx - ax, by - ay, dx - cx, dy - cy
-    acx, acy = cx - ax, cy - ay
-    denom = rx * sy - ry * sx
-    if denom:
-        tn = acx * sy - acy * sx
-        un = acx * ry - acy * rx
-        if denom < 0:
-            denom, tn, un = -denom, -tn, -un
-        if not (0 <= tn <= denom and 0 <= un <= denom):
-            return None
-        x, y = ax * denom + tn * rx, ay * denom + tn * ry
-        g = gcd(x, y, denom)
-        return ((x // g, y // g, denom // g),)
-    if acx * ry - acy * rx or acx * sy - acy * sx:
-        return None  # not on one line; either test alone decides unless a segment is a point
-    lo = max(min((ax, ay), (bx, by)), min((cx, cy), (dx, dy)))
-    hi = min(max((ax, ay), (bx, by)), max((cx, cy), (dx, dy)))
-    if lo > hi:
-        return None
-    return ((*lo, 1),) if lo == hi else ((*lo, 1), (*hi, 1))
-
-
-def _meetings(first: list, second: list) -> Iterator[Tuple[LatticePoint, ...]]:
-    """:func:`_meet` of each meeting pair, row-major, skipping disjoint boxes."""
-    for a in first:
-        for b in second:
-            if a[4] <= b[6] and b[4] <= a[6] and a[5] <= b[7] and b[5] <= a[7]:
-                meet = _meet(a, b)
-                if meet is not None:
-                    yield meet
-
-
 def boundary_meetings(family: Sequence[LatticeRegion]) -> Iterator[Tuple[LatticePoint, ...]]:
     """The meetings of two boundaries of distinct regions of a
-    :func:`family_lattice`, region pair by region pair, each a tuple: one
-    point ``(X, Y, D)``, or the two ends of a collinear overlap in
-    lexicographic order.  The point is ``(X / D, Y / D)`` on the lattice,
-    with ``D > 0`` and ``gcd(X, Y, D) == 1``.  Region pairs whose boxes are
-    disjoint cannot meet and are skipped."""
+    :func:`family_lattice`, region pair by region pair, each as
+    :func:`~ribbonkit.geometry.lattice_meet` gives it: one point
+    ``(X, Y, D)``, or the two ends of a collinear overlap.  Region pairs
+    whose boxes are disjoint cannot meet and are skipped."""
     for i, r1 in enumerate(family):
         for r2 in family[i + 1 :]:
             if boxes_meet(r1.box, r2.box):
-                yield from _meetings(r1.segments, r2.segments)
+                yield from lattice_meetings(r1.segments, r2.segments)
 
 
 def _candidate_points(family: Sequence[LatticeRegion]) -> List[LatticePoint]:
@@ -208,7 +150,7 @@ def _candidate_points(family: Sequence[LatticeRegion]) -> List[LatticePoint]:
     vertices = (
         (x, y, 1) for r in family for xs, ys in r.loops + r.excluded for x, y in zip(xs, ys)
     )
-    own = (meet for r in family for k, l in combinations(r.rings, 2) for meet in _meetings(k, l))
+    own = (meet for r in family for k, l in combinations(r.rings, 2) for meet in lattice_meetings(k, l))
     meets = (p for meet in chain(boundary_meetings(family), own) for p in meet)
     return list(dict.fromkeys(chain(vertices, meets)))
 

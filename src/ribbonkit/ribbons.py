@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from math import lcm
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .complexes import CellComplex
@@ -27,8 +28,9 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
-    boxed_segments,
-    segment_meetings,
+    lattice_meetings,
+    lattice_point,
+    lattice_ring,
     simple_polygon,
     vertex_centroid,
 )
@@ -81,13 +83,16 @@ def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
     for p in inner.points:
         if outer.locate(p) is not PointLocation.INSIDE:
             return False
-    meetings = segment_meetings(inner.shape.segments, outer.shape.segments)
-    return next(meetings, None) is None
+    s = lcm(inner.shape.den, outer.shape.den)
+    return next(lattice_meetings(inner.shape.ring_at(s), outer.shape.ring_at(s)), None) is None
 
 
 def is_concentric(a: FilledCycle, b: FilledCycle) -> bool:
-    """Equal vertex centroids, compared exactly."""
-    return a.centroid() == b.centroid()
+    """Equal vertex centroids, compared exactly: each loop's integer vertex
+    sums over its vertex count times ``den``, cross-multiplied."""
+    a, b = a.shape, b.shape
+    ka, kb = len(a) * a.den, len(b) * b.den
+    return sum(a.xs) * kb == sum(b.xs) * ka and sum(a.ys) * kb == sum(b.ys) * ka
 
 
 @dataclass(frozen=True)
@@ -160,10 +165,13 @@ def _check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Filament) -
     k = r_outer.complex
     fa = k.vertices[fil.outer_vertex]
     fb = k.vertices[fil.inner_vertex]
-    filament = boxed_segments((fa, fb))[:1]  # fa-fb, not the closing fb-fa
-    for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
-        for _, _, meet in segment_meetings(filament, cycle.shape.segments):
-            if meet != ("point", endpoint):
+    # The ends are vertices of the two loops, so their common lattice holds them.
+    s = lcm(r_outer.shape.den, r_inner.shape.den)
+    (ax, ay), (bx, by) = lattice_point(fa, s), lattice_point(fb, s)
+    filament = lattice_ring((ax, bx), (ay, by))[:1]  # fa-fb, not the closing fb-fa
+    for cycle, endpoint in ((r_outer, (ax, ay, 1)), (r_inner, (bx, by, 1))):
+        for meet in lattice_meetings(filament, cycle.shape.ring_at(s)):
+            if meet != (endpoint,):
                 raise FilamentEndpointOffBoundary(
                     f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} crosses a cycle boundary"
                 )

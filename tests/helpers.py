@@ -1,7 +1,7 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
 level-wise nerve enumerator, the rational-arithmetic nerve, witness and
-candidate list, the closure-based complex (maximal search and ranks over
+candidate list with its segment-meeting scan, the closure-based complex (maximal search and ranks over
 every simplex), the per-pixel raster with its breadth-first
 counts, the unpruned clearance loop, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
@@ -35,14 +35,13 @@ from ribbonkit.errors import FilamentEndpointOffBoundary, FrameTooSmall
 from ribbonkit.geometry import (
     Point2,
     PointLocation,
+    bounding_box,
     boxes_meet,
     cross_value,
     loop_segments,
     on_segment,
     point,
     polygon_area2,
-    segment_intersection,
-    segment_meetings,
     segment_point_distance_sq,
     segment_segment_distance_sq,
     vertex_centroid,
@@ -212,6 +211,15 @@ def _slanted_loop(rng: Random, pool: List[Point2], edges: List[Tuple[Point2, Poi
         return loop
 
 
+def nudged_map(rng: Random, q: int):
+    """The exact map ``p -> p / q + t``, ``t`` a random shift whose
+    coordinates are -1, 0 or 1 over 7, 14 or 21.  Loops under their own
+    such maps with one ``q`` keep most of their layout, on lattices that
+    differ."""
+    tx, ty = (Fraction(rng.randint(-1, 1), rng.choice((7, 14, 21))) for _ in range(2))
+    return lambda p: Point2(p.x / q + tx, p.y / q + ty)
+
+
 def random_slanted_family(rng: Random, max_regions: int = 4) -> List[Region]:
     """Regions of slanted triangles and quads with coordinate denominators
     1, 2, 3 and 7 that share vertices, overlap along collinear edges and
@@ -256,7 +264,7 @@ def reference_witness(regions):
         for r2 in regions[i + 1 :]:
             for a, b in chain.from_iterable(map(loop_segments, r1.loops + r1.excluded)):
                 for c, d in chain.from_iterable(map(loop_segments, r2.loops + r2.excluded)):
-                    inter = segment_intersection(a, b, c, d)
+                    inter = fraction_segment_intersection(a, b, c, d)
                     if inter is not None:
                         for p in inter[1:]:
                             push(p)
@@ -297,16 +305,37 @@ def reference_nerve(regions) -> frozenset:
     return frozenset(simplices)
 
 
+def boxed_segments(*loops) -> list:
+    """The edges of each closed loop in turn, as ``(a, b, box)`` triples."""
+    return [(a, b, bounding_box((a, b))) for loop in loops for a, b in loop_segments(loop)]
+
+
+def segment_meetings(first: list, second: list):
+    """``(i, j, meet)`` in row-major order for each ``first[i]`` meeting
+    ``second[j]`` in ``meet``, their :func:`fraction_segment_intersection`;
+    both lists come from :func:`boxed_segments`, and pairs with disjoint
+    boxes are skipped.  The ``Fraction`` scan that
+    ``geometry.lattice_meetings`` replaced."""
+    for i, (a, b, box1) in enumerate(first):
+        for j, (c, d, box2) in enumerate(second):
+            if boxes_meet(box1, box2):
+                meet = fraction_segment_intersection(a, b, c, d)
+                if meet is not None:
+                    yield i, j, meet
+
+
 def fraction_boundary_meetings(regions) -> List[Tuple[Point2, ...]]:
     """The points of each meeting of two boundaries of distinct regions, in
     ``Fraction`` arithmetic, region pair by region pair; region pairs with
     disjoint boxes are skipped."""
+    boxes = [bounding_box(r.boundary_vertices()) for r in regions]
+    segments = [boxed_segments(*r.loops, *r.excluded) for r in regions]
     return [
         meet[1:]
-        for i, r1 in enumerate(regions)
-        for r2 in regions[i + 1 :]
-        if boxes_meet(r1.bbox, r2.bbox)
-        for _, _, meet in segment_meetings(r1.segments, r2.segments)
+        for i in range(len(regions))
+        for j in range(i + 1, len(regions))
+        if boxes_meet(boxes[i], boxes[j])
+        for _, _, meet in segment_meetings(segments[i], segments[j])
     ]
 
 
@@ -318,7 +347,7 @@ def fraction_candidate_points(regions) -> List[Point2]:
         meet[1:]
         for r in regions
         for k, l in combinations(r.loops + r.excluded, 2)
-        for _, _, meet in segment_meetings(k.segments, l.segments)
+        for _, _, meet in segment_meetings(boxed_segments(k), boxed_segments(l))
     )
     vertices = (p for r in regions for p in r.boundary_vertices())
     meets = (p for meet in chain(fraction_boundary_meetings(regions), own) for p in meet)
@@ -466,7 +495,7 @@ def reference_rasterize(regions, frame, resolution) -> Bitmap:
     height = _ceil_fraction((frame.hi.y - frame.lo.y) * resolution)
     bits = set()
     for r in regions:
-        bx0, by0, bx1, by1 = r.bbox
+        bx0, by0, bx1, by1 = bounding_box(r.boundary_vertices())
         i0 = max(0, _ceil_fraction((bx0 - frame.lo.x) * resolution - Fraction(1, 2)))
         i1 = min(width - 1, _floor_fraction((bx1 - frame.lo.x) * resolution - Fraction(1, 2)))
         j0 = max(0, _ceil_fraction((by0 - frame.lo.y) * resolution - Fraction(1, 2)))
@@ -542,6 +571,51 @@ def reference_clearance_sq(regions):
     return best
 
 
+def _lex(p: Point2) -> Tuple[Fraction, Fraction]:
+    return (p.x, p.y)
+
+
+def fraction_segment_intersection(a, b, c, d):
+    """Exact intersection of the closed segments ``ab`` and ``cd`` in
+    ``Fraction`` arithmetic, as ``geometry.segment_intersection`` gives it:
+    the implementation ``geometry.lattice_meet`` replaced."""
+    if a == b:
+        return ("point", a) if on_segment(a, c, d) else None
+    if c == d:
+        return ("point", c) if on_segment(c, a, b) else None
+    rx, ry = b.x - a.x, b.y - a.y
+    sx, sy = d.x - c.x, d.y - c.y
+    acx, acy = c.x - a.x, c.y - a.y
+    denom = rx * sy - ry * sx
+    if denom != 0:
+        # t = tn / denom and u = un / denom lie in [0, 1] iff tn and un lie
+        # between 0 and denom, whatever its sign; divide only on a hit.
+        tn = acx * sy - acy * sx
+        un = acx * ry - acy * rx
+        if denom > 0:
+            if not (0 <= tn <= denom and 0 <= un <= denom):
+                return None
+        elif not (denom <= tn <= 0 and denom <= un <= 0):
+            return None
+        if tn == 0 or tn == denom:
+            return ("point", a if tn == 0 else b)
+        if un == 0 or un == denom:
+            return ("point", c if un == 0 else d)
+        t = Fraction(tn, denom)
+        return ("point", Point2(a.x + t * rx, a.y + t * ry))
+    if acx * ry - acy * rx != 0:
+        return None  # parallel, different carrier lines
+    lo1, hi1 = sorted((a, b), key=_lex)
+    lo2, hi2 = sorted((c, d), key=_lex)
+    lo = max(lo1, lo2, key=_lex)
+    hi = min(hi1, hi2, key=_lex)
+    if _lex(lo) > _lex(hi):
+        return None
+    if lo == hi:
+        return ("point", lo)
+    return ("segment", lo, hi)
+
+
 def reference_segment_intersection(a, b, c, d):
     """Intersection of closed segments with the parameters divided out
     before they are compared with 0 and 1; Fraction coordinates only."""
@@ -559,7 +633,7 @@ def reference_segment_intersection(a, b, c, d):
         if 0 <= t <= 1 and 0 <= u <= 1:
             return ("point", Point2(a.x + t * rx, a.y + t * ry))
         return None
-    return segment_intersection(a, b, c, d)
+    return fraction_segment_intersection(a, b, c, d)
 
 
 def _reference_clip_segment_to_triangle(a, b, tri):
@@ -712,7 +786,7 @@ def reference_simple_polygon(loop) -> bool:
     n = len(segs)
     for i in range(n):
         for j in range(i + 1, n):
-            inter = segment_intersection(*segs[i], *segs[j])
+            inter = fraction_segment_intersection(*segs[i], *segs[j])
             adjacent = j == i + 1 or (i == 0 and j == n - 1)
             if adjacent:
                 shared = segs[i][1] if j == i + 1 else segs[i][0]
@@ -730,7 +804,7 @@ def reference_is_nested(inner, outer) -> bool:
             return False
     for a, b in loop_segments(inner.points):
         for c, d in loop_segments(outer.points):
-            if segment_intersection(a, b, c, d) is not None:
+            if fraction_segment_intersection(a, b, c, d) is not None:
                 return False
     return True
 
@@ -750,7 +824,7 @@ def reference_check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Fi
     fb = k.vertices[fil.inner_vertex]
     for cycle, endpoint in ((r_outer, fa), (r_inner, fb)):
         for a, b in loop_segments(cycle.points):
-            inter = segment_intersection(fa, fb, a, b)
+            inter = fraction_segment_intersection(fa, fb, a, b)
             if inter is None:
                 continue
             if inter != ("point", endpoint):

@@ -1,11 +1,18 @@
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import lcm
 from random import Random
 
 import pytest
 
-from helpers import reference_segment_intersection, reference_simple_polygon
+from helpers import (
+    fraction_segment_intersection,
+    nudged_map,
+    random_slanted_family,
+    reference_segment_intersection,
+    reference_simple_polygon,
+)
 
 from ribbonkit.errors import NonSimplePolygon, TooFewVertices
 from ribbonkit.geometry import (
@@ -15,8 +22,10 @@ from ribbonkit.geometry import (
     PointLocation,
     ScaledLoop,
     bounding_box,
-    boxed_segments,
     cross_value,
+    lattice_meetings,
+    lattice_point,
+    lattice_ring,
     lattice_row_runs,
     loop_segments,
     on_segment,
@@ -24,7 +33,6 @@ from ribbonkit.geometry import (
     point,
     point_in_polygon,
     segment_intersection,
-    segment_meetings,
     segment_point_distance_sq,
     segment_segment_distance_sq,
     simple_polygon,
@@ -64,8 +72,11 @@ def test_bounding_box_reads_an_iterator_once():
 def test_scaled_loop_is_the_sequence_of_its_points():
     loop = ScaledLoop(iter(SQUARE))
     assert len(loop) == 4 and list(loop) == SQUARE and loop[-1] == SQUARE[-1]
-    assert loop.points == tuple(SQUARE) and loop.bbox == (0, 0, 3, 3)
-    assert loop.segments == boxed_segments(SQUARE)
+    assert loop.points == tuple(SQUARE)
+    assert loop.ring == lattice_ring(loop.xs, loop.ys) == [
+        (0, 0, 3, 0, 0, 0, 3, 0), (3, 0, 3, 3, 3, 0, 3, 3), (3, 3, 0, 3, 0, 3, 3, 3), (0, 3, 0, 0, 0, 0, 0, 3)
+    ]
+    assert loop.ring_at(1) is loop.ring and loop.ring_at(2)[1] == (6, 0, 6, 6, 6, 0, 6, 6)
     assert loop_segments(loop) == loop_segments(SQUARE)
     assert simple_polygon(loop) is True
     assert point_in_polygon(point(1, 1), loop) is PointLocation.INSIDE
@@ -367,8 +378,8 @@ def test_lattice_row_runs_contract():
 
 
 def test_simple_polygon_matches_unpruned_reference():
-    rng = Random(37)
-    outcomes = []
+    rng, maps = Random(37), Random(61)
+    outcomes, dens = [], Counter()
     for _ in range(600):
         shape = rng.random()
         if shape < 0.6:
@@ -386,7 +397,12 @@ def test_simple_polygon_matches_unpruned_reference():
         want = reference_simple_polygon(loop)
         assert simple_polygon(loop) is want
         outcomes.append(want)
+        # The loop under an exact map p -> p / q + t keeps its answer.
+        moved = list(map(nudged_map(maps, maps.choice((1, 2, 3, 7))), loop))
+        assert simple_polygon(moved) is reference_simple_polygon(moved) is want
+        dens[ScaledLoop(moved).den > 1] += 1
     assert 100 < sum(outcomes) < 500
+    assert dens[True] > 500, dens
 
 
 def _meeting_kind(a, b, box1, c, d, box2, meet) -> str:
@@ -405,7 +421,12 @@ def test_segment_meetings_contract():
     # Loops through a coarse grid of one denominator, so shared endpoints,
     # collinear overlaps, T-junctions and boxes touching only at a corner
     # are common, and every fourth case through points whose coordinates
-    # have their own denominators up to 1024.
+    # have their own denominators up to 1024; then every pair of loops of
+    # slanted families, whose denominators 1, 2, 3 and 7 give loops on
+    # different lattices.  Each case scales its loops once to their common
+    # lattice, and lattice_meetings must give the meetings of the all-pairs
+    # Fraction intersection it replaced, in row-major order, as must
+    # segment_intersection pair by pair.
     rng = Random(47)
     kinds = Counter()
 
@@ -415,23 +436,52 @@ def test_segment_meetings_contract():
             return Fraction(rng.randint(0, 4 * den), den)
         return Fraction(rng.randint(0, 4), den)
 
+    def edges(side):
+        """The segments of ``(points, ring)`` loops as ``(a, b, lattice tuple)``."""
+        return [(a, b, g) for loop, ring in side for (a, b), g in zip(loop_segments(loop), ring)]
+
+    def check(first, second, s):
+        """Compare the meetings of the loops ``first`` and ``second``, their
+        rings on the lattice of scale ``s``; count the kinds of their pairs."""
+        first, second = edges(first), edges(second)
+        seen, want = Counter(), []
+        for a, b, g in first:
+            for c, d, h in second:
+                meet = fraction_segment_intersection(a, b, c, d)
+                assert segment_intersection(a, b, c, d) == meet
+                seen[_meeting_kind(a, b, g[4:], c, d, h[4:], meet)] += 1
+                if meet is not None:
+                    want.append(meet[1:])
+        got = [
+            tuple(Point2(Fraction(x, e * s), Fraction(y, e * s)) for x, y, e in meet)
+            for meet in lattice_meetings([g for _, _, g in first], [h for _, _, h in second])
+        ]
+        assert got == want
+        return seen
+
     for case in range(400):
         den = rng.choice((1, 3, 1024))
-        lists = [
-            boxed_segments(
-                *(
-                    [Point2(coordinate(case, den), coordinate(case, den)) for _ in range(rng.randint(2, 5))]
-                    for _ in range(rng.randint(1, 3))
-                )
-            )
+        first, second = (
+            [
+                [Point2(coordinate(case, den), coordinate(case, den)) for _ in range(rng.randint(2, 5))]
+                for _ in range(rng.randint(1, 3))
+            ]
             for _ in range(2)
-        ]
-        want = []
-        for i, (a, b, box1) in enumerate(lists[0]):
-            for j, (c, d, box2) in enumerate(lists[1]):
-                meet = segment_intersection(a, b, c, d)
-                kinds[_meeting_kind(a, b, box1, c, d, box2, meet)] += 1
-                if meet is not None:
-                    want.append((i, j, meet))
-        assert list(segment_meetings(*lists)) == want
+        )
+        s = lcm(*(v.denominator for loop in first + second for p in loop for v in (p.x, p.y)))
+        first, second = (
+            [(loop, lattice_ring(*zip(*(lattice_point(p, s) for p in loop)))) for loop in side]
+            for side in (first, second)
+        )
+        kinds += check(first, second, s)
     assert min(kinds.values()) > 20 and len(kinds) == 6, kinds
+
+    slanted = Counter()
+    rescaled = 0
+    for _ in range(150):
+        loops = [loop for r in random_slanted_family(rng) for loop in r.loops + r.excluded]
+        for k, l in combinations(loops, 2):
+            s = lcm(k.den, l.den)
+            rescaled += s != k.den or s != l.den
+            slanted += check([(k.points, k.ring_at(s))], [(l.points, l.ring_at(s))], s)
+    assert min(slanted.values()) > 20 and len(slanted) == 6 and rescaled > 100, (slanted, rescaled)

@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     add_rect_loop,
+    boxed_segments,
     fraction_boundary_meetings,
     fraction_candidate_points,
     fraction_common_witness,
@@ -23,6 +24,7 @@ from helpers import (
     reference_simplices_of_dim,
     reference_witness,
     reference_z2_betti,
+    segment_meetings,
 )
 
 from ribbonkit import gallery
@@ -34,7 +36,6 @@ from ribbonkit.geometry import (
     ScaledLoop,
     point,
     polygon_area2,
-    segment_meetings,
 )
 from ribbonkit.homology import min_boundary_clearance_sq, z2_betti
 from ribbonkit.nerves import (
@@ -312,7 +313,7 @@ def _meeting_loop(rng, other):
     """A random loop whose boundary meets the boundary of ``other``."""
     while True:
         loop = ScaledLoop(_grid_loop(rng))
-        if next(segment_meetings(other.segments, loop.segments), None) is not None:
+        if next(segment_meetings(boxed_segments(other), boxed_segments(loop)), None) is not None:
             return loop
 
 
@@ -431,7 +432,7 @@ def test_nerve_matches_fraction_oracle_on_slanted_families():
         crossings += sum(d > 1 for _, _, d in points)
         overlaps += sum(len(meet) == 2 for meet in boundary_meetings(family))
         own_meetings += sum(
-            next(segment_meetings(k.segments, l.segments), None) is not None
+            next(segment_meetings(boxed_segments(k), boxed_segments(l)), None) is not None
             for r in regions
             for k, l in combinations(r.loops + r.excluded, 2)
         )

@@ -6,6 +6,7 @@ import pytest
 
 from helpers import (
     add_rect_loop,
+    nudged_map,
     random_rect_ribbon,
     reference_check_filament,
     reference_is_nested,
@@ -36,6 +37,7 @@ from ribbonkit.geometry import (
 )
 from ribbonkit.ribbons import (
     Filament,
+    FilledCycle,
     RibbonMembership,
     VortexNerve,
     _check_filament,
@@ -105,11 +107,35 @@ def test_is_concentric_cases():
     assert is_concentric(big, mid)  # both centroids (2, 2)
     assert not is_concentric(big, small)  # centroid (3/2, 3/2) vs (2, 2)
     assert small.centroid() == point("3/2", "3/2")
+    # A square and a triangle on one centroid (3, 3), with different vertex counts.
+    ids = [k.add_vertex(f"t{i}", p) for i, p in enumerate((point(0, 0), point(9, 0), point(0, 9)))]
+    assert is_concentric(_square_cycle(k, "q", 0, 0, 6, 6), make_filled_cycle(k, ids, "t"))
     th = gallery.two_hole_ribbon()
     # hand-computed centroids: outer (1, 1), inner (99/100, 43/50)
     assert th.outer.centroid() == point(1, 1)
     assert th.inner.centroid() == point("99/100", "43/50")
     assert not is_concentric(th.outer, th.inner)
+    # Random loops of 3 to 6 vertices with denominators 1, 2, 3 and 7; in
+    # every other case the second loop is moved onto the first one's centroid.
+    rng = Random(67)
+    outcomes = Counter()
+
+    def cycle(name, points):
+        return FilledCycle(k, [k.add_vertex(f"{name}{i}", p) for i, p in enumerate(points)])
+
+    for case in range(300):
+        a, b = (
+            cycle(f"{case}{side}", [Point2(Fraction(rng.randint(-9, 9), d), Fraction(rng.randint(-9, 9), d))
+                                    for _ in range(rng.randint(3, 6))])
+            for side, d in (("a", rng.choice((1, 2, 3, 7))), ("b", rng.choice((1, 2, 3, 7))))
+        )
+        if case % 2:
+            ca, cb = a.centroid(), b.centroid()
+            b = cycle(f"{case}m", [Point2(p.x - cb.x + ca.x, p.y - cb.y + ca.y) for p in b.points])
+        want = a.centroid() == b.centroid()
+        assert is_concentric(a, b) is want and is_concentric(b, a) is want
+        outcomes[want, len(a.points) == len(b.points), a.shape.den == b.shape.den] += 1
+    assert outcomes[True, False, False] > 20 and outcomes[False, False, False] > 20, outcomes
 
 
 def test_make_ribbon_rejects_bad_holes_and_nesting():
@@ -312,13 +338,28 @@ def _lattice_cycle(rng: Random, k: CellComplex):
             return make_filled_cycle(k, [k.add_vertex(f"l{n}", p) for n, p in enumerate(pts)], "lattice")
 
 
+def _nudged_pair(rng, outer, inner):
+    """The two cycles on a new complex, with their vertex ids, each under its
+    own :func:`nudged_map` for one ``q`` in 1, 2, 3, 7; and whether their
+    denominators differ, so one is rescaled to their common lattice."""
+    k = CellComplex(f"{outer.complex.name}'")
+    q = rng.choice((1, 2, 3, 7))
+    pair = []
+    for cycle in (outer, inner):
+        m = nudged_map(rng, q)
+        pair.append(make_filled_cycle(k, [k.add_vertex(v, m(p)) for v, p in zip(cycle.loop, cycle.points)]))
+    return (*pair, pair[0].shape.den != pair[1].shape.den)
+
+
 def test_is_nested_matches_unpruned_reference():
     # Star-shaped loops, and lattice loops in a dented square, where every
     # inner vertex may lie inside while an inner edge still crosses the
-    # outer boundary or passes through its dent.
-    rng = Random(41)
-    outcomes = []
-    edge_decided = 0
+    # outer boundary or passes through its dent; each pair again with each
+    # loop under its own exact map, so the two loops meet on a common
+    # lattice finer than one of their own.
+    rng, maps = Random(41), Random(53)
+    outcomes, mapped = [], []
+    edge_decided = mapped_edge_decided = rescaled = 0
     for case in range(400):
         k = CellComplex(f"N{case}")
         if case % 2:
@@ -331,8 +372,17 @@ def test_is_nested_matches_unpruned_reference():
         edge_decided += not want and all(
             outer.locate(p) is PointLocation.INSIDE for p in inner.points
         )
-    assert 40 < sum(outcomes) < 360
-    assert edge_decided >= 8
+        outer, inner, finer = _nudged_pair(maps, outer, inner)
+        want = reference_is_nested(inner, outer)
+        assert is_nested(inner, outer) is want
+        mapped.append(want)
+        rescaled += finer
+        mapped_edge_decided += not want and all(
+            outer.locate(p) is PointLocation.INSIDE for p in inner.points
+        )
+    assert 40 < sum(outcomes) < 360 and 40 < sum(mapped) < 360
+    assert edge_decided >= 8 and mapped_edge_decided >= 8
+    assert rescaled > 200
 
 
 def _rect_cycle_with_extras(rng: Random, k: CellComplex, prefix: str, x0, y0, x1, y1):
@@ -361,8 +411,11 @@ def test_check_filament_matches_unpruned_reference():
     # Extra vertices on the rectangle edges line filaments up with edges and
     # vertices, so they cross a loop, run along an edge, pass through a
     # third vertex or are valid; a few name a vertex of the wrong loop.
-    rng = Random(43)
-    seen = Counter()
+    # The same filaments are checked again with each loop under its own
+    # exact map, on a common lattice finer than one of their own.
+    rng, maps = Random(43), Random(59)
+    seen, mapped = Counter(), Counter()
+    rescaled = 0
     for case in range(200):
         k = CellComplex(f"F{case}")
         x0, y0 = rng.randint(-6, 0), rng.randint(-6, 0)
@@ -373,10 +426,12 @@ def test_check_filament_matches_unpruned_reference():
             rng, k, "i", x0 + gaps[0], y0 + gaps[1], x1 - gaps[2], y1 - gaps[3]
         )
         loop_points = outer.points + inner.points
+        fils = []
         for _ in range(6):
             fil = Filament(
                 rng.choice(outer.loop + inner.loop[:1]), rng.choice(inner.loop + outer.loop[:1])
             )
+            fils.append(fil)
             want = _filament_outcome(reference_check_filament, outer, inner, fil)
             assert _filament_outcome(_check_filament, outer, inner, fil) == want
             seen[want[1].split(" ", 2)[-1] if want else "valid"] += 1  # message past the filament
@@ -390,4 +445,11 @@ def test_check_filament_matches_unpruned_reference():
                 seen["through a third vertex"] += any(
                     p not in (fa, fb) and on_segment(p, fa, fb) for p in loop_points
                 )
+        outer, inner, finer = _nudged_pair(maps, outer, inner)
+        rescaled += finer
+        for fil in fils:
+            want = _filament_outcome(reference_check_filament, outer, inner, fil)
+            assert _filament_outcome(_check_filament, outer, inner, fil) == want
+            mapped[want[1].split(" ", 2)[-1] if want else "valid"] += 1
     assert min(seen.values()) > 20 and len(seen) == 6, seen
+    assert mapped["valid"] > 100 and mapped["crosses a cycle boundary"] > 100 and rescaled > 100, (mapped, rescaled)
