@@ -6,8 +6,8 @@ intersection (whenever two cell realizations meet, the overlap is a union
 of cells of the complex).  The second is the Alexandroff-Hopf-Whitehead
 condition: two cells meet in a common face or not at all.
 :func:`validate_cw` reports violations of both as data instead of raising;
-it settles most cell pairs from vertex ids and integer signs and clips
-only the rest.
+it settles most cell pairs from vertex ids and integer signs and meets
+only the rest, as convex hulls.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .geometry import (
     bounding_box,
     boxes_meet,
     cross_value,
-    on_segment,
     polygon_area2,
     segment_intersection,
 )
@@ -199,114 +198,55 @@ def convex_clip(subject: Sequence[Point2], clip: Sequence[Point2]) -> List[Point
     return dedup
 
 
-def _classify_poly(points: List[Point2]):
-    """Collapse a clip result to ('poly'|'seg'|'point'|None, payload)."""
+def _hull(points: Sequence[Point2]) -> Optional[Tuple[Point2, ...]]:
+    """Corners of the convex hull of a clip result or a realized cell:
+    ``(p,)`` for one point, the lexicographic extremes ``(lo, hi)`` for
+    collinear points, the points themselves otherwise; None if empty."""
     distinct: List[Point2] = []
     for p in points:
         if p not in distinct:
             distinct.append(p)
-    if not distinct:
-        return None
-    if len(distinct) == 1:
-        return ("point", distinct[0])
+    if len(distinct) < 2:
+        return tuple(distinct) or None
     if len(distinct) == 2 or polygon_area2(points) == 0:
         key = lambda q: (q.x, q.y)
-        lo, hi = min(distinct, key=key), max(distinct, key=key)
-        if lo == hi:
-            return ("point", lo)
-        return ("seg", lo, hi)
-    return ("poly", points)
-
-
-def _clip_segment_to_triangle(a: Point2, b: Point2, tri: Sequence[Point2]):
-    """Intersection of closed segment ab with a CCW triangle, parametrically.
-
-    The parameters ``n0/d0 <= n1/d1`` of the clipped piece keep positive
-    denominators and are compared by cross-multiplication.
-    """
-    n0, d0, n1, d1 = 0, 1, 1, 1
-    n = len(tri)
-    for i in range(n):
-        e1, e2 = tri[i], tri[(i + 1) % n]
-        va = cross_value(e1, e2, a)
-        vb = cross_value(e1, e2, b)
-        dv = vb - va
-        if dv == 0:
-            if va < 0:
-                return None
-            continue
-        # the segment crosses the edge line at t = -va / dv
-        if dv > 0:
-            if -va * d0 > n0 * dv:
-                n0, d0 = -va, dv
-        elif va * d1 < -n1 * dv:
-            n1, d1 = va, -dv
-        if n0 * d1 > n1 * d0:
-            return None
-    p0, p1 = _interpolate(a, b, n0, d0), _interpolate(a, b, n1, d1)
-    if p0 == p1:
-        return ("point", p0)
-    key = lambda q: (q.x, q.y)
-    lo, hi = sorted((p0, p1), key=key)
-    return ("seg", lo, hi)
-
-
-def _realize(cell: Cell, coords: Dict[str, Point2]):
-    """The point, segment or CCW triangle of ``cell`` at ``coords``, or None
-    if a vertex has no coordinates."""
-    pts = [coords.get(vid) for vid in cell.vertex_ids]
-    if any(p is None for p in pts):
-        return None
-    if cell.kind is CellKind.VERTEX:
-        return ("point", pts[0])
-    if cell.kind is CellKind.EDGE:
-        return ("seg", pts[0], pts[1])
-    return ("tri", _ccw(pts))
-
-
-def _realized_box(r):
-    return bounding_box(r[1]) if r[0] == "tri" else bounding_box(r[1:])
+        return (min(distinct, key=key), max(distinct, key=key))
+    return tuple(points)
 
 
 def _pair_intersection(r1, r2):
-    """Geometric intersection of two realized cells."""
-    if r1[0] > r2[0]:  # "point" < "seg" < "tri"
-        r1, r2 = r2, r1
-    kinds = (r1[0], r2[0])
-    if kinds == ("point", "point"):
-        return ("point", r1[1]) if r1[1] == r2[1] else None
-    if kinds == ("point", "seg"):
-        return ("point", r1[1]) if on_segment(r1[1], r2[1], r2[2]) else None
-    if kinds == ("point", "tri"):
-        return ("point", r1[1]) if _point_in_convex(r1[1], r2[1]) else None
-    if kinds == ("seg", "seg"):
-        inter = segment_intersection(r1[1], r1[2], r2[1], r2[2])
-        return inter if inter is None or inter[0] == "point" else ("seg", *inter[1:])
-    if kinds == ("seg", "tri"):
-        return _clip_segment_to_triangle(r1[1], r1[2], r2[1])
-    return _classify_poly(convex_clip(r1[1], r2[1]))
+    """Hull of the intersection of two hulls, or None."""
+    if len(r2) == 3:
+        return _hull(convex_clip(r1, r2))
+    if len(r1) == 3:
+        return _hull(convex_clip(r2, r1))
+    inter = segment_intersection(r1[0], r1[-1], r2[0], r2[-1])
+    return inter and inter[1:]
 
 
 class _Shape:
-    """A realized cell read by :func:`validate_cw`: ``at[S]``, for each
-    proper subset ``S`` of its ids, holds its edge lines through all of
-    ``S``, its points off ``S``, and the hull of ``S`` if that is an edge;
-    None for a collinear triangle.  A line ``(dx, dy, c)`` has the cell
-    inside and ``(x, y)`` strictly outside iff ``dx * y - dy * x < c``; an
-    edge has both sides of its line."""
+    """A realized cell read by :func:`validate_cw`: ``hull`` is a vertex
+    ``(p,)``, an edge ``(p, q)``, or a triangle's corners counterclockwise;
+    a collinear triangle is the segment between its lexicographic extremes,
+    or its one point.  ``at[S]``, for each proper subset ``S`` of its ids,
+    holds its edge lines through all of ``S``, its points off ``S``, and the
+    hull of ``S`` if that is an edge; ``at`` is None for a collinear
+    triangle.  A line ``(dx, dy, c)`` has the cell inside and ``(x, y)``
+    strictly outside iff ``dx * y - dy * x < c``; an edge has both sides of
+    its line."""
 
-    __slots__ = ("ids", "realized", "at")
+    __slots__ = ("ids", "hull", "at")
 
-    def __init__(self, vids, points, realized):
+    def __init__(self, vids, points):
         self.ids = frozenset(vids)
-        self.realized = realized
         n = len(points)
         area = cross_value(*points) if n == 3 else 1
         if area == 0:
-            self.at = None
+            self.hull, self.at = _hull(points), None
             return
         if area < 0:
             vids, points = vids[::-1], points[::-1]
+        self.hull = tuple(points)
         pts = tuple([(p.x, p.y) for p in points])
         lines = [(bx - ax, by - ay, (bx - ax) * ay - (by - ay) * ax)
                  for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
@@ -314,7 +254,7 @@ class _Shape:
         for s in range(n):
             at[frozenset((vids[s],))] = ((lines[s], lines[s - 1]), pts[:s] + pts[s + 1 :], None)
             if n == 3:
-                edge = _classify_poly([points[s], points[s - 2]])
+                edge = _hull([points[s], points[s - 2]])
                 at[frozenset((vids[s], vids[s - 2]))] = ((lines[s],), (pts[s - 1],), edge)
 
 
@@ -339,23 +279,26 @@ def _meeting(a: _Shape, b: _Shape):
         lines_b, rest_b, _ = b.at[shared]
         if _strictly_outside(lines, rest_b) or _strictly_outside(lines_b, rest):
             return meet
-    return _pair_intersection(a.realized, b.realized)
+    return _pair_intersection(a.hull, b.hull)
 
 
-def _containment_violations(k: CellComplex) -> List[str]:
+def _containment_violations(k: CellComplex, coords: Dict[str, Point2]) -> List[str]:
+    """Missing faces and collinear triangles; ``coords`` are the points of
+    the bound vertices, or any one rescale of them by a positive factor."""
     out: List[str] = []
     for cid, cell in sorted(k.cells.items()):
         if cell.kind is CellKind.VERTEX:
-            if cell.vertex_ids[0] not in k.vertices:
+            if cell.vertex_ids[0] not in coords:
                 out.append(f"vertex cell {cid!r} has no coordinates")
         elif cell.kind is CellKind.EDGE:
             for vid in cell.vertex_ids:
-                if vid not in k.vertices:
+                if vid not in coords:
                     out.append(f"edge {cid!r} is missing vertex {vid!r}")
         else:
-            for vid in cell.vertex_ids:
-                if vid not in k.vertices:
-                    out.append(f"triangle {cid!r} is missing vertex {vid!r}")
+            missing = [vid for vid in cell.vertex_ids if vid not in coords]
+            out.extend(f"triangle {cid!r} is missing vertex {vid!r}" for vid in missing)
+            if not missing and cross_value(*[coords[vid] for vid in cell.vertex_ids]) == 0:
+                out.append(f"triangle {cid!r} is collinear")
             a, b, c = cell.vertex_ids
             for u, v in ((a, b), (b, c), (a, c)):
                 if k.edge_between(u, v) is None:
@@ -384,15 +327,15 @@ def _along(key: Tuple[int, int, int], p: Point2):
     return p.x if key[1] else p.y
 
 
-def _edge_lines(cells) -> Dict[Tuple[int, int, int], List[tuple]]:
-    """Non-degenerate edges grouped by carrier line, each as its sorted
-    extent along the line."""
+def _edge_lines(edges) -> Dict[Tuple[int, int, int], List[tuple]]:
+    """Edges ``(p, q)`` of nonzero length grouped by carrier line, each as
+    its sorted extent along the line."""
     lines: Dict[Tuple[int, int, int], List[tuple]] = {}
-    for r in cells:
-        if r[0] != "seg" or r[1] == r[2]:
+    for p, q in edges:
+        if p == q:
             continue
-        key = _line_key(r[1], r[2])
-        s, t = _along(key, r[1]), _along(key, r[2])
+        key = _line_key(p, q)
+        s, t = _along(key, p), _along(key, q)
         lines.setdefault(key, []).append((min(s, t), max(s, t)))
     for extents in lines.values():
         extents.sort()
@@ -416,7 +359,7 @@ def _segment_covered_by_edges(lines, lo: Point2, hi: Point2) -> bool:
     return cursor >= stop
 
 
-def _region_covered_by_triangles(poly: List[Point2], triangles) -> bool:
+def _region_covered_by_triangles(poly: Sequence[Point2], triangles) -> bool:
     """True iff those of ``triangles`` (CCW) lying in the convex ``poly``
     have disjoint interiors and tile it."""
     target = abs(polygon_area2(poly))
@@ -476,7 +419,7 @@ def validate_cw(k: CellComplex) -> ValidityReport:
 
     1. A cell whose ids are a proper subset of the other's is its face and
        their intersection: a vertex, or an edge covering itself.  Equal id
-       sets (duplicates) are clipped.
+       sets (duplicates) are met exactly.
     2. Let ``L`` be an edge line of one cell through all shared ids ``S``.
        If the other cell's vertices off ``S`` are strictly outside ``L``,
        it meets the first cell's closed side of ``L`` only in the hull of
@@ -485,21 +428,24 @@ def validate_cw(k: CellComplex) -> ValidityReport:
        must be covered by edges.
 
     Strict tests send touching cells, collinear rays, zero-length edges
-    and twin vertices to the clip.  Collinear triangles skip rule 2: the
-    clip reads them as their carrier line.
+    and twin vertices to the exact meeting of their hulls: two points or
+    segments by :func:`segment_intersection`, anything with a triangle by
+    :func:`convex_clip`.  Collinear triangles skip rule 2 and are met as
+    their hull, a segment or a point; only edge cells cover a
+    shared segment, and only triangles of positive area a shared region.
     """
     lattice = Lattice(k.vertices.values())
     coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
     realized = {}
     for cid, cell in k.cells.items():
-        r = _realize(cell, coords)
-        if r is not None:
-            realized[cid] = _Shape(cell.vertex_ids, [coords[v] for v in cell.vertex_ids], r)
+        pts = [coords.get(vid) for vid in cell.vertex_ids]
+        if None not in pts:
+            realized[cid] = _Shape(cell.vertex_ids, pts)
     ids = sorted(realized)
     shapes = [realized[cid] for cid in ids]
-    cells = [shape.realized for shape in shapes]
-    boxes = [_realized_box(r) for r in cells]
-    lines = _edge_lines(cells)
+    hulls = [shape.hull for shape in shapes]
+    boxes = [bounding_box(hull) for hull in hulls]
+    lines = _edge_lines(s.hull for cid, s in realized.items() if k.cells[cid].kind is CellKind.EDGE)
     vertex_coords = {(p.x, p.y) for p in coords.values()}
 
     def unscaled(p: Point2) -> Point2:
@@ -516,28 +462,28 @@ def validate_cw(k: CellComplex) -> ValidityReport:
             inter = _meeting(s1, shapes[j])
             if inter is None:
                 continue
-            if inter[0] == "point":
-                p = inter[1]
+            if len(inter) == 1:
+                p = inter[0]
                 if (p.x, p.y) not in vertex_coords:
                     intersection.append(
                         f"cells {c1!r},{c2!r} meet at {unscaled(p)} which is not a vertex"
                     )
-            elif inter[0] == "seg":
-                if not _segment_covered_by_edges(lines, inter[1], inter[2]):
+            elif len(inter) == 2:
+                if not _segment_covered_by_edges(lines, *inter):
                     intersection.append(
-                        f"cells {c1!r},{c2!r} share segment {unscaled(inter[1])}-{unscaled(inter[2])} not covered by edges"
+                        f"cells {c1!r},{c2!r} share segment {unscaled(inter[0])}-{unscaled(inter[1])} not covered by edges"
                     )
             else:
-                near = grid.near(grid.reach(bounding_box(inter[1])))
-                triangles = [cells[t][1] for t in sorted(near) if cells[t][0] == "tri"]
-                if not _region_covered_by_triangles(inter[1], triangles):
+                near = grid.near(grid.reach(bounding_box(inter)))
+                triangles = [hulls[t] for t in sorted(near) if len(hulls[t]) == 3]
+                if not _region_covered_by_triangles(inter, triangles):
                     intersection.append(
                         f"cells {c1!r},{c2!r} share a region not covered by triangles"
                     )
     return ValidityReport(
         name=k.name,
         cell_count=len(k.cells),
-        containment_violations=tuple(_containment_violations(k)),
+        containment_violations=tuple(_containment_violations(k, coords)),
         intersection_violations=tuple(intersection),
     )
 

@@ -84,16 +84,6 @@ def orientation(a: Point2, b: Point2, c: Point2) -> Orientation:
     return Orientation.COLLINEAR
 
 
-def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
-    """True iff ``p`` lies on the closed segment ``ab``."""
-    if cross_value(a, b, p) != 0:
-        return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
-
-
 SegmentIntersection = Optional[Tuple]
 LatticePoint = Tuple[int, int, int]
 

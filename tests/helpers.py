@@ -17,11 +17,8 @@ from ribbonkit.complexes import (
     CellKind,
     ValidityReport,
     _ccw,
-    _classify_poly,
     _containment_violations,
     _point_in_convex,
-    _realize,
-    _realized_box,
     convex_clip,
 )
 from ribbonkit.division import (
@@ -39,7 +36,6 @@ from ribbonkit.geometry import (
     boxes_meet,
     cross_value,
     loop_segments,
-    on_segment,
     point,
     polygon_area2,
     segment_point_distance_sq,
@@ -575,6 +571,16 @@ def _lex(p: Point2) -> Tuple[Fraction, Fraction]:
     return (p.x, p.y)
 
 
+def on_segment(p: Point2, a: Point2, b: Point2) -> bool:
+    """True iff ``p`` lies on the closed segment ``ab``."""
+    if cross_value(a, b, p) != 0:
+        return False
+    return (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
 def fraction_segment_intersection(a, b, c, d):
     """Exact intersection of the closed segments ``ab`` and ``cd`` in
     ``Fraction`` arithmetic, as ``geometry.segment_intersection`` gives it:
@@ -662,6 +668,39 @@ def _reference_clip_segment_to_triangle(a, b, tri):
     return ("seg", lo, hi)
 
 
+def _reference_classify(points):
+    """Collapse points to ``('poly'|'seg'|'point', ...)`` or None: a
+    region, the segment between their lexicographic extremes, or one
+    point."""
+    distinct = []
+    for p in points:
+        if p not in distinct:
+            distinct.append(p)
+    if not distinct:
+        return None
+    if len(distinct) == 1:
+        return ("point", distinct[0])
+    if len(distinct) == 2 or polygon_area2(points) == 0:
+        return ("seg", min(distinct, key=_lex), max(distinct, key=_lex))
+    return ("poly", points)
+
+
+def _reference_realize(cell, coords):
+    """The point, segment or CCW triangle of ``cell`` at ``coords``, or None
+    if a vertex has no coordinates; a collinear triangle is the segment
+    between its extremes, or its one point."""
+    pts = [coords.get(vid) for vid in cell.vertex_ids]
+    if any(p is None for p in pts):
+        return None
+    if cell.kind is CellKind.VERTEX:
+        return ("point", pts[0])
+    if cell.kind is CellKind.EDGE:
+        return ("seg", pts[0], pts[1])
+    if polygon_area2(pts) == 0:
+        return _reference_classify(pts)
+    return ("tri", _ccw(pts))
+
+
 def _reference_pair_intersection(r1, r2):
     order = {"point": 0, "seg": 1, "tri": 2}
     if order[r1[0]] > order[r2[0]]:
@@ -680,7 +719,7 @@ def _reference_pair_intersection(r1, r2):
         return ("seg", inter[1], inter[2])
     if kinds == ("seg", "tri"):
         return _reference_clip_segment_to_triangle(r1[1], r1[2], r2[1])
-    return _classify_poly(convex_clip(r1[1], r2[1]))
+    return _reference_classify(convex_clip(r1[1], r2[1]))
 
 
 def _segment_param(p, a, b):
@@ -719,7 +758,7 @@ def _reference_region_covered(k, poly):
         if cell.kind is not CellKind.TRIANGLE:
             continue
         pts = k.cell_points(cid)
-        if pts is None:
+        if pts is None or polygon_area2(pts) == 0:
             continue
         if all(_point_in_convex(p, ccw_poly) for p in pts):
             contained.append(_ccw(pts))
@@ -736,14 +775,15 @@ def _reference_region_covered(k, poly):
 def reference_validate_cw(k: CellComplex) -> ValidityReport:
     """The CW check on Fraction coordinates: every cell pair in sorted-id
     order through a box test, every edge scanned for a shared segment and
-    every triangle for a shared region."""
+    every triangle of positive area for a shared region; a collinear
+    triangle is met as its segment, or its one point."""
     realized = {}
     for cid, cell in k.cells.items():
-        r = _realize(cell, k.vertices)
+        r = _reference_realize(cell, k.vertices)
         if r is not None:
             realized[cid] = r
     vertex_coords = {(p.x, p.y) for p in k.vertices.values()}
-    boxes = {cid: _realized_box(r) for cid, r in realized.items()}
+    boxes = {cid: bounding_box(r[1] if r[0] == "tri" else r[1:]) for cid, r in realized.items()}
     ids = sorted(realized)
     intersection = []
     for i, c1 in enumerate(ids):
@@ -773,7 +813,7 @@ def reference_validate_cw(k: CellComplex) -> ValidityReport:
     return ValidityReport(
         name=k.name,
         cell_count=len(k.cells),
-        containment_violations=tuple(_containment_violations(k)),
+        containment_violations=tuple(_containment_violations(k, k.vertices)),
         intersection_violations=tuple(intersection),
     )
 

@@ -10,8 +10,7 @@ from ribbonkit.complexes import (
     CellComplex,
     CellKind,
     _Buckets,
-    _realize,
-    _realized_box,
+    _Shape,
     boundary,
     closure,
     interior,
@@ -23,6 +22,7 @@ from ribbonkit.geometry import (
     Orientation,
     Point2,
     PointLocation,
+    bounding_box,
     orientation,
     point,
     point_in_polygon,
@@ -267,6 +267,32 @@ def _random_soup(rng: Random) -> CellComplex:
     return k
 
 
+def _late_soup(rng: Random, d: int) -> CellComplex:
+    """Edges and triangles on ids first, their vertices bound after on a
+    small lattice at denominator ``d``: collinear and one-point triangles,
+    which ``add_triangle`` cannot reject before the binding, abound."""
+    k = CellComplex(f"L/{d}")
+    ids = [f"p{v}" for v in range(rng.randint(3, 7))]
+    for _ in range(rng.randint(1, 4)):
+        try:
+            k.add_triangle(*rng.sample(ids, 3))
+        except ValueError:
+            pass
+    for _ in range(rng.randint(0, 3)):
+        k.add_edge(*rng.sample(ids, 2))
+    side = rng.randint(1, 3) * d
+    for vid in ids:
+        k.add_vertex(vid, point(Fraction(rng.randint(0, side), d), Fraction(rng.randint(0, side), d)))
+    return k
+
+
+def _has_flat_triangle(k: CellComplex) -> bool:
+    return any(
+        cell.kind is CellKind.TRIANGLE and orientation(*k.cell_points(cid)) is Orientation.COLLINEAR
+        for cid, cell in k.cells.items()
+    )
+
+
 def _touching_on_bucket_boundary() -> CellComplex:
     """Two triangles whose boxes meet only on the line x = 3, which is a
     bucket boundary; their edges on that line overlap without being
@@ -287,7 +313,8 @@ def test_touching_boxes_case_sits_on_a_bucket_boundary():
     lattice = Lattice(k.vertices.values())
     scale = lattice.s
     coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
-    boxes = [_realized_box(_realize(cell, coords)) for cell in k.cells.values()]
+    boxes = [bounding_box(_Shape(cell.vertex_ids, [coords[v] for v in cell.vertex_ids]).hull)
+             for cell in k.cells.values()]
     grid = _Buckets(boxes)
     assert (3 * scale - grid.x0) % grid.wx == 0 and 3 * scale > grid.x0
     lines = validate_cw(k).lines()
@@ -348,6 +375,11 @@ def _incidence_cases(d: int):
                          "m": (-2, 1), "n": (-2, -1), "p": (5, 2), "q": (3, 3)},
                         [("a", "b", "c", "t1"), ("g", "h"), ("a", "m", "n", "t0"), ("c", "p", "q", "t2")],
                         late=[("c", (4, 0))]),
+        # edges overlapping along a collinear triangle, whose own edges
+        # are gone: only edge cells cover a shared segment
+        _incidence_case("flat-cover", d, {"a": (2, 0), "b": (4, 0), "p": (1, 0), "s": (5, 0)},
+                        [("a", "b", "c", "t1"), ("p", "b"), ("a", "s")],
+                        late=[("c", (3, 0))], drop=[("a", "b"), ("a", "c"), ("b", "c")]),
         # two triangle cells on the same three ids, in both orientations
         _incidence_case("twice", d, tri, [("a", "b", "c"), ("a", "b", "c", "dup"), ("c", "b", "a", "dup2")]),
         # cells that touch without sharing an id: a vertex on a side, sides
@@ -355,6 +387,28 @@ def _incidence_cases(d: int):
         _incidence_case("touch", d, {**tri, "p": (3, 3), "q": (6, 4), "r": (4, 6), "s": (3, 0),
                                      "t": (8, 0), "u": (5, -2), "v": (1, -1), "w": (2, 0)},
                         [("a", "b", "c"), ("p", "q", "r"), ("s", "t", "u"), ("v", "w")]),
+    ]
+
+
+def test_collinear_triangle_is_met_as_its_segment():
+    """The flat triangle t1 = a-b-c lies on y = 0 from a to c; t0 touches
+    that line only at a, so the two meet in the vertex a."""
+    for d in (1, 2, 3, 7):
+        flat_line = next(k for k in _incidence_cases(d) if k.name == f"flat-line/{d}")
+        lines = validate_cw(flat_line).lines()
+        assert lines[1:] == ["  containment: triangle 't1' is collinear"], lines
+        assert not any("'t0','t1'" in line for line in lines)
+
+
+def test_one_point_triangle_is_met_as_its_point():
+    k = CellComplex("one-point")
+    k.add_triangle("p0", "p1", "p2")
+    k.add_triangle("p1", "p3", "p4")
+    for vid, (x, y) in (("p0", (3, 4)), ("p1", (1, 1)), ("p2", (4, 4)), ("p3", (1, 1)), ("p4", (1, 1))):
+        k.add_vertex(vid, point(x, y))
+    assert validate_cw(k).lines() == [
+        "complex=one-point cells=13 valid=false",
+        "  containment: triangle 'p1--p3--p4' is collinear",
     ]
 
 
@@ -381,8 +435,10 @@ def test_validate_cw_matches_reference():
     cases.extend(_random_soup(rng) for _ in range(120))
     for d in (1, 2, 3, 7):
         cases.extend(_incidence_cases(d))
+    late = [_late_soup(rng, d) for _ in range(50) for d in (1, 2, 3, 7)]
+    assert sum(map(_has_flat_triangle, late)) >= 30
     invalid = 0
-    for k in cases:
+    for k in cases + late:
         got = validate_cw(k)
         assert got.lines() == reference_validate_cw(k).lines(), k.name
         invalid += not got.valid
@@ -393,9 +449,8 @@ def test_valid_complexes_are_settled_without_clipping(monkeypatch):
     """On a valid triangulation with no flipped triangle, and on the gallery,
     integer signs settle every pair of a triangle with an edge or triangle."""
     calls = []
-    for name in ("convex_clip", "_clip_segment_to_triangle"):
-        clip = getattr(complexes, name)
-        monkeypatch.setattr(complexes, name, lambda *a, _clip=clip, _name=name: calls.append(_name) or _clip(*a))
+    clip = complexes.convex_clip
+    monkeypatch.setattr(complexes, "convex_clip", lambda *a: calls.append(a) or clip(*a))
     rng = Random(8)
     while True:
         grid = _perturbed_triangulation(rng, 8, 8)

@@ -9,6 +9,7 @@ import pytest
 from helpers import (
     fraction_segment_intersection,
     nudged_map,
+    on_segment,
     random_slanted_family,
     reference_segment_intersection,
     reference_simple_polygon,
@@ -28,7 +29,6 @@ from ribbonkit.geometry import (
     lattice_ring,
     lattice_row_runs,
     loop_segments,
-    on_segment,
     orientation,
     point,
     point_in_polygon,

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     add_rect_loop,
     nudged_map,
+    on_segment,
     random_rect_ribbon,
     reference_check_filament,
     reference_is_nested,
@@ -29,7 +30,6 @@ from ribbonkit.geometry import (
     Point2,
     PointLocation,
     loop_segments,
-    on_segment,
     point,
     point_in_polygon,
     segment_intersection,
