@@ -68,10 +68,11 @@ def parse_rational(raw, path: str) -> Fraction:
             raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a canonical rational")
         num, _, den = raw.partition("/")
         try:
-            value = Fraction(int(num), int(den or 1))
+            n, d = int(num), int(den or 1)
+            value = Fraction(n, d)
         except (ValueError, ZeroDivisionError) as exc:
             raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a rational") from exc
-        if format_rational(value) != raw:
+        if str(n) != num or value.denominator != d or (den and (d == 1 or str(d) != den)):
             raise NonCanonicalRational(
                 f"{path}: {_quoted(raw)} is not canonical"
                 f" (expected {_quoted(format_rational(value))})"
@@ -148,9 +149,8 @@ def _parse_filament_list(node, path: str) -> List[Tuple[str, str]]:
 
 
 def _register(doc: ComplexDocument, table: Dict, name: str, obj, path: str) -> None:
-    taken = set(doc.complexes) | set(doc.cycles) | set(doc.ribbons)
-    taken |= set(doc.ribbon_complexes) | set(doc.vortex_nerves)
-    if name in taken:
+    tables = (doc.complexes, doc.cycles, doc.ribbons, doc.ribbon_complexes, doc.vortex_nerves)
+    if any(name in t for t in tables):
         raise SchemaViolation(f"{path}: name {name!r} is already in use")
     table[name] = obj
 

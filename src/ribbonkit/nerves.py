@@ -11,11 +11,14 @@ in one pass over the arrangement of all region boundaries:
    meeting of two loops, of one region or of two, as gcd-reduced lattice
    points ``(X, Y, D)`` from :func:`~ribbonkit.geometry.lattice_meetings`.
    Region pairs and segment pairs whose integer boxes are disjoint cannot
-   meet and are skipped.  Each candidate is tested against each region's
-   box, then its loops with :func:`~ribbonkit.geometry.lattice_location`,
-   giving the set of regions that hold it.  Only a returned witness is built as a :class:`Point2`.
-3. The nerve is stored as its facets, the maximal such sets; every other
-   simplex is a face of one, and the downward closure is built on demand.
+   meet and are skipped.  Each region finds the candidates it holds: those
+   on its boundary untested if its boundary lies in it (:func:`_held_sets`),
+   the rest in its box's x range, a slice of the candidates sorted once by
+   ``X // D``, by its box and then :func:`~ribbonkit.geometry.lattice_location`
+   on its loops.  Only a returned witness is built as a :class:`Point2`.
+3. The nerve is stored as its facets, the maximal sets of regions holding
+   one candidate; every other simplex is a face of one, and the downward
+   closure is built on demand.
 
 This is exact when each loop is simple, which :class:`Region` does not
 check.  A nonempty common intersection of a subcollection is then compact,
@@ -30,12 +33,13 @@ regions it is given.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from math import lcm
-from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .errors import CollectionTooLarge, EmptyCollection
 from .geometry import (
@@ -130,29 +134,63 @@ def family_lattice(regions: Sequence[Region]) -> Tuple[int, List[LatticeRegion]]
     return s, [LatticeRegion(r, s) for r in regions]
 
 
-def boundary_meetings(family: Sequence[LatticeRegion]) -> Iterator[Tuple[LatticePoint, ...]]:
-    """The meetings of two boundaries of distinct regions of a
-    :func:`family_lattice`, region pair by region pair, each as
+def boundary_meetings(family: Sequence[LatticeRegion]) -> Iterator[Tuple[int, int, Tuple[LatticePoint, ...]]]:
+    """``(i, j, meet)`` for each meeting of the boundaries of regions ``i < j``
+    of a :func:`family_lattice`, region pair by region pair, ``meet`` as
     :func:`~ribbonkit.geometry.lattice_meet` gives it: one point
     ``(X, Y, D)``, or the two ends of a collinear overlap.  Region pairs
     whose boxes are disjoint cannot meet and are skipped."""
     for i, r1 in enumerate(family):
-        for r2 in family[i + 1 :]:
-            if boxes_meet(r1.box, r2.box):
-                yield from lattice_meetings(r1.segments, r2.segments)
+        for j in range(i + 1, len(family)):
+            if boxes_meet(r1.box, family[j].box):
+                for meet in lattice_meetings(r1.segments, family[j].segments):
+                    yield i, j, meet
 
 
-def _candidate_points(family: Sequence[LatticeRegion]) -> List[LatticePoint]:
-    """The vertices of the arrangement of all boundary loops as lattice
-    points: every boundary vertex, every meeting of two boundaries of
-    distinct regions, every meeting of two loops of one region; duplicates
-    dropped."""
-    vertices = (
-        (x, y, 1) for r in family for xs, ys in r.loops + r.excluded for x, y in zip(xs, ys)
-    )
-    own = (meet for r in family for k, l in combinations(r.rings, 2) for meet in lattice_meetings(k, l))
-    meets = (p for meet in chain(boundary_meetings(family), own) for p in meet)
-    return list(dict.fromkeys(chain(vertices, meets)))
+def _held_sets(family: Sequence[LatticeRegion]) -> Dict[LatticePoint, Set[int]]:
+    """Each vertex of the arrangement of all boundary loops, in candidate
+    order (boundary vertices, meetings of two regions' boundaries, then of
+    two loops of one region), with the set of indices of the regions that
+    hold it.
+
+    A region is closed, its boundary in it, when it excludes nothing, or
+    when it is one loop minus one excluded loop off the loop whose first
+    vertex is inside the loop: by the Jordan curve theorem the excluded
+    loop then lies inside the loop, so the loop lies outside it (or it
+    would lie inside itself).  A closed region holds the points found on
+    its boundary, as a vertex or a meeting, untested.  Each region tests
+    the rest whose ``X // D`` is in its box's x range, a superset of those
+    whose ``X / D`` is.
+    """
+    own = [
+        [p for k, l in combinations(r.rings, 2) for m in lattice_meetings(k, l) for p in m] for r in family
+    ]
+    closed = [
+        not r.excluded
+        or (len(r.loops) == len(r.excluded) == 1 and not meets)
+        and lattice_location(*r.loops[0], r.excluded[0][0][0], r.excluded[0][1][0], 1) is PointLocation.INSIDE
+        for r, meets in zip(family, own)
+    ]
+    held: Dict[LatticePoint, Set[int]] = {}
+
+    def found(points, *indices):
+        seeds = [i for i in indices if closed[i]]
+        for p in points:
+            held.setdefault(p, set()).update(seeds)
+
+    for i, r in enumerate(family):
+        found(((x, y, 1) for xs, ys in r.loops + r.excluded for x, y in zip(xs, ys)), i)
+    for i, j, meet in boundary_meetings(family):
+        found(meet, i, j)
+    for i, meets in enumerate(own):
+        found(meets, i)
+    points = sorted(held, key=lambda p: p[0] // p[2])
+    keys = [x // d for x, _, d in points]
+    for i, r in enumerate(family):
+        for p in points[bisect_left(keys, r.box[0]) : bisect_right(keys, r.box[2])]:
+            if i not in held[p] and r.holds(*p):
+                held[p].add(i)
+    return held
 
 
 def common_witness(regions: Sequence[Region]) -> Optional[Point2]:
@@ -160,8 +198,8 @@ def common_witness(regions: Sequence[Region]) -> Optional[Point2]:
     if not regions:
         raise EmptyCollection("witness search over an empty collection")
     s, family = family_lattice(regions)
-    for x, y, d in _candidate_points(family):
-        if all(r.holds(x, y, d) for r in family):
+    for (x, y, d), held in _held_sets(family).items():
+        if len(held) == len(family):
             return Point2(Fraction(x, d * s), Fraction(y, d * s))
     return None
 
@@ -207,11 +245,7 @@ def nerve(regions: Sequence[Region]) -> SimplicialComplex:
         raise EmptyCollection("nerve of an empty collection")
     if len(regions) > 20:
         raise CollectionTooLarge(f"nerve enumeration capped at 20 regions, got {len(regions)}")
-    family = family_lattice(regions)[1]
-    held = {
-        tuple(i for i, r in enumerate(family) if r.holds(x, y, d))
-        for x, y, d in _candidate_points(family)
-    }
+    held = _held_sets(family_lattice(regions)[1]).values()
     return SimplicialComplex(vertex_labels=tuple(r.label for r in regions), facets=tuple(held))
 
 

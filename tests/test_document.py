@@ -55,6 +55,17 @@ def test_parse_rational_canonical_forms():
             parse_rational(bad, "$")
     with pytest.raises(NonCanonicalRational):
         parse_rational(0.1, "$")
+    for bad, message in (
+        ("-0", "'-0' is not canonical (expected '0')"),
+        ("0/5", "'0/5' is not canonical (expected '0')"),
+        ("007", "'007' is not canonical (expected '7')"),
+        ("-6/1", "'-6/1' is not canonical (expected '-6')"),
+        ("3/04", "'3/04' is not canonical (expected '3/4')"),
+        ("1/0", "'1/0' is not a rational"),
+    ):
+        with pytest.raises(NonCanonicalRational) as info:
+            parse_rational(bad, "$.x")
+        assert str(info.value) == f"$.x: {message}"
     with pytest.raises(SchemaViolation):
         parse_rational(True, "$")
 
@@ -112,6 +123,12 @@ def test_duplicate_names_rejected():
     payload["complexes"]["K"]["ribbon_complexes"] = {"tri": []}
     with pytest.raises(SchemaViolation):
         parse_document(json.dumps(payload))
+    # A cycle named like its complex clashes with an entry of another table.
+    payload = _doc_dict()
+    payload["complexes"]["K"]["cycles"] = {"K": ["a", "b", "c"]}
+    with pytest.raises(SchemaViolation) as info:
+        parse_document(json.dumps(payload))
+    assert str(info.value) == "$.complexes.K.cycles.K: name 'K' is already in use"
 
 
 def test_threshold_and_probes_validation():

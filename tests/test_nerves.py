@@ -27,7 +27,7 @@ from helpers import (
     segment_meetings,
 )
 
-from ribbonkit import gallery
+from ribbonkit import gallery, nerves
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import CollectionTooLarge, EmptyCollection, TooFewVertices
 from ribbonkit.geometry import (
@@ -36,19 +36,20 @@ from ribbonkit.geometry import (
     ScaledLoop,
     point,
     polygon_area2,
+    vertex_centroid,
 )
 from ribbonkit.homology import min_boundary_clearance_sq, z2_betti
 from ribbonkit.nerves import (
     Region,
     SimplicialComplex,
-    _candidate_points,
+    _held_sets,
     boundary_meetings,
     common_witness,
     family_lattice,
     nerve,
     ribbon_nerve,
 )
-from ribbonkit.ribbons import RibbonComplex, make_filled_cycle
+from ribbonkit.ribbons import Ribbon, RibbonComplex, make_filled_cycle
 
 
 def _square_region(k, prefix, x0, y0, x1, y1):
@@ -392,7 +393,7 @@ def _as_points(s, points):
 def _lattice_candidates(regions):
     """The nerve's candidate list as :class:`Point2` values."""
     s, family = family_lattice(regions)
-    return list(_as_points(s, _candidate_points(family)))
+    return list(_as_points(s, _held_sets(family)))
 
 
 def test_five_ribbon_candidates_lie_on_boundaries():
@@ -408,7 +409,7 @@ def _check_against_fraction_oracle(regions):
     same order, and the clearance reads 0 exactly when the unpruned
     reference does."""
     s, family = family_lattice(regions)
-    meetings = [_as_points(s, meet) for meet in boundary_meetings(family)]
+    meetings = [_as_points(s, meet) for _, _, meet in boundary_meetings(family)]
     assert meetings == fraction_boundary_meetings(regions), regions
     assert _lattice_candidates(regions) == fraction_candidate_points(regions), regions
     assert nerve(regions).facets == fraction_nerve_facets(regions), regions
@@ -426,11 +427,11 @@ def test_nerve_matches_fraction_oracle_on_slanted_families():
         regions = random_slanted_family(rng)
         _check_against_fraction_oracle(regions)
         s, family = family_lattice(regions)
-        points = _candidate_points(family)
+        points = list(_held_sets(family))
         for x, y, d in points:
             assert d > 0 and gcd(x, y, d) == 1
         crossings += sum(d > 1 for _, _, d in points)
-        overlaps += sum(len(meet) == 2 for meet in boundary_meetings(family))
+        overlaps += sum(len(meet) == 2 for _, _, meet in boundary_meetings(family))
         own_meetings += sum(
             next(segment_meetings(boxed_segments(k), boxed_segments(l)), None) is not None
             for r in regions
@@ -447,3 +448,113 @@ def test_nerve_matches_fraction_oracle_on_grid_families():
     rng = Random(4410)
     for _ in range(30):
         _check_against_fraction_oracle([_grid_region(rng) for _ in range(rng.randint(1, 3))])
+
+
+def _convex_loop(rng, q):
+    """A triangle or a parallelogram of nonzero area on the ``1/q`` grid over [0, 4]."""
+    while True:
+        p, u, v = ((Fraction(rng.randint(0, 4 * q), q), Fraction(rng.randint(0, 4 * q), q)) for _ in range(3))
+        if (u[0] - p[0]) * (v[1] - p[1]) != (u[1] - p[1]) * (v[0] - p[0]):
+            corners = [p, u, v] if rng.random() < 0.5 else [p, u, (u[0] + v[0] - p[0], u[1] + v[1] - p[1]), v]
+            return [Point2(x, y) for x, y in corners]
+
+
+def _scaled(loop, t):
+    """``loop`` scaled by ``t`` about its vertex centroid, inside it for a convex loop."""
+    g = vertex_centroid(loop)
+    return [Point2(g.x + t * (p.x - g.x), g.y + t * (p.y - g.y)) for p in loop]
+
+
+def _crossed_ribbon(rng, q):
+    """A ``Ribbon`` built without ``make_ribbon`` whose inner triangle runs
+    from the outer loop's centroid out over its first vertex, so the outer
+    loop's first vertex lies in the removed interior."""
+    outer = _convex_loop(rng, q)
+    g, a = vertex_centroid(outer), outer[0]
+    dx, dy = a.x - g.x, a.y - g.y
+    tip = Point2(3 * a.x - 2 * g.x, 3 * a.y - 2 * g.y)
+    inner = [g, Point2(tip.x - dy, tip.y + dx), Point2(tip.x + dy, tip.y - dx)]
+    k = CellComplex("D")
+    outer_c, inner_c = (
+        make_filled_cycle(k, [k.add_vertex(f"{name}{i}", p) for i, p in enumerate(loop)], name)
+        for name, loop in (("o", outer), ("i", inner))
+    )
+    return Region.from_ribbon(Ribbon(outer_c, inner_c, label="crossed"))
+
+
+def _excluding_region(rng, q):
+    """A convex loop minus a loop whose boundary is off it: a shrunk copy
+    (a ribbon), a grown copy (an empty region) or a copy moved clear of it;
+    or a union of two loops, now and then minus a shrunk copy of the first."""
+    loop = _convex_loop(rng, q)
+    kind = rng.randrange(5)
+    if kind == 0:
+        return Region(loops=(loop,), excluded=(_scaled(loop, rng.choice((Fraction(1, 2), Fraction(2, 3)))),))
+    if kind == 1:
+        return Region(loops=(loop,), excluded=(_scaled(loop, rng.choice((Fraction(3, 2), 2))),))
+    if kind == 2:
+        shift = max(p.x for p in loop) - min(p.x for p in loop) + Fraction(1, q)
+        return Region(loops=(loop,), excluded=([Point2(p.x + shift, p.y) for p in loop],))
+    other = _convex_loop(rng, q)
+    return Region(loops=(loop, other), excluded=(_scaled(loop, Fraction(1, 2)),) if kind == 3 else ())
+
+
+def _excluding_families():
+    rng = Random(2111)
+    for _ in range(40):
+        q = rng.choice((1, 2, 3, 7))
+        regions = [_excluding_region(rng, q) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            regions.append(_crossed_ribbon(rng, q))
+        rng.shuffle(regions)
+        yield regions
+
+
+# Regions whose excluded loop is off their loop, inside it or not, next to
+# ones whose excluded loop crosses it: the candidates a region holds
+# without a test are exactly those the Fraction code finds it holds.
+def test_nerve_matches_fraction_oracle_on_excluding_families():
+    kinds = set()
+    for regions in _excluding_families():
+        assert nerve(regions).facets == fraction_nerve_facets(regions), regions
+        for k in range(1, len(regions) + 1):
+            for sub in combinations(regions, k):
+                assert common_witness(sub) == fraction_common_witness(sub), sub
+        kinds.update((len(r.loops), len(r.excluded), r.label, fraction_common_witness([r]) is None) for r in regions)
+    # Ribbons or moved holes, empty regions, unions, unions minus a hole, crossed ribbons.
+    assert {(1, 1, "", False), (1, 1, "", True), (2, 0, "", False), (2, 1, "", False), (1, 1, "crossed", False)} <= kinds
+
+
+def test_region_around_its_excluded_loop_is_empty():
+    # The excluded loop surrounds the loop, so its boundary is off the loop
+    # but the region is empty: its boundary points must be tested.
+    square = Region(loops=(_loop((0, 0), (1, 0), (1, 1), (0, 1)),))
+    empty = Region(loops=(_loop((3, 3), (4, 3), (4, 4), (3, 4)),), excluded=(_loop((2, 2), (5, 2), (5, 5), (2, 5)),))
+    assert nerve([square, empty]).facets == ((0,),)
+    assert common_witness([empty]) is None
+
+
+def test_union_loop_in_its_excluded_loop_is_removed():
+    # Both loops of the union lie off the excluded loop, the first around
+    # it, but the second inside it, so the second is no part of the region.
+    big, small = _loop((0, 0), (8, 0), (8, 8), (0, 8)), _loop((3, 3), (5, 3), (5, 5), (3, 5))
+    union = Region(loops=(big, small), excluded=(_loop((2, 2), (6, 2), (6, 6), (2, 6)),))
+    over_small = Region(loops=(_loop(("5/2", "5/2"), ("11/2", "5/2"), ("11/2", "11/2"), ("5/2", "11/2")),))
+    assert nerve([union, over_small]).facets == ((0,), (1,))
+
+
+def test_five_ribbon_nerve_tests_few_points(monkeypatch):
+    # Each ribbon holds the points found on its boundary without a test, and
+    # tests only the points in its box's x range.
+    calls = {"holds": 0, "lattice_location": 0}
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(nerves.LatticeRegion, "holds", counted("holds", nerves.LatticeRegion.holds))
+    monkeypatch.setattr(nerves, "lattice_location", counted("lattice_location", nerves.lattice_location))
+    ribbon_nerve(gallery.five_ribbon_complex().rbx)
+    assert calls["holds"] <= 100 and calls["lattice_location"] <= 40, calls
