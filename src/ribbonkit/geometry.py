@@ -9,9 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import groupby
 from math import gcd, isfinite, lcm
-from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .errors import NonSimplePolygon, TooFewVertices
@@ -340,7 +338,7 @@ def lattice_row_runs(
     # lattice column an edge lying on row j covers and each point where another
     # edge meets the row's line; ``flip`` has the loop's bit when that edge
     # crosses by the half-open rule of ScaledLoop.classify: y1 <= y < y2.
-    events: Dict[int, List[Tuple[int, int, int]]] = {}
+    events: List[List[Tuple[int, int, int]]] = [[] for _ in range(rows)]
     for b, loop in enumerate(loops):
         bit = 1 << b
         for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
@@ -348,7 +346,7 @@ def lattice_row_runs(
                 row = _lattice_key(y1, oy, sy)
                 if row & 1 and 0 <= row // 2 < rows:
                     lo, hi = sorted((_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx)))
-                    events.setdefault(row // 2, []).extend(
+                    events[row // 2].extend(
                         (k, 0, bit) for k in range(max(lo | 1, 1), min(hi, top - 1) + 1, 2)
                     )
                 continue
@@ -358,29 +356,45 @@ def lattice_row_runs(
             first = max(_lattice_key(y1, oy, sy) // 2, 0)
             last = min((_lattice_key(y2, oy, sy) - 1) // 2, rows - 1)
             # The edge meets row j at x = x1 + (oy + j * sy - y1) * dx / dy, whose
-            # key is that of _lattice_key from (x - ox) * dy = num in units sx * dy.
-            num, inc, unit = (x1 - ox) * dy + (oy + first * sy - y1) * dx, sy * dx, sx * dy
+            # key is that of _lattice_key from (x - ox) * dy = q * unit + rem,
+            # unit = sx * dy.  A row up adds sy * dx = dq * unit + carry: q gains
+            # dq, rem gains carry and passes a unit on to q once it reaches unit.
+            unit = sx * dy
+            q, rem = divmod((x1 - ox) * dy + (oy + first * sy - y1) * dx, unit)
+            dq, carry = divmod(sy * dx, unit)
             for j in range(first, last + 1):
-                q, rem = divmod(num, unit)
                 # Keys off the lattice keep their flips at its two ends.
-                key = min(max(2 * q + (2 if rem else 1), 0), top)
-                events.setdefault(j, []).append((key, bit if oy + j * sy < y2 else 0, bit))
-                num += inc
+                key = 2 * q + (2 if rem else 1)
+                key = 0 if key < 0 else key if key < top else top
+                events[j].append((key, bit, bit))
+                q += dq
+                rem += carry
+                if rem >= unit:
+                    rem -= unit
+                    q += 1
+            if first <= last and oy + last * sy == y2:  # a row on y2 does not cross
+                events[last][-1] = (key, 0, bit)
     runs: Dict[int, List[Tuple[int, int, int, int]]] = {}
-    for j, row in events.items():
+    for j, row in enumerate(events):
+        if not row:
+            continue
+        row.sort()
+        row.append((top + 1, 0, 0))  # closes the last group
         stretches = runs[j] = []
-        inside = start = 0  # loops crossed an odd number of times; next column
-        for key, group in groupby(sorted(row), itemgetter(0)):
-            flip = on = 0
-            for _, f, o in group:
-                flip ^= f
-                on |= o
-            if start <= (key - 2) // 2:  # the columns strictly left of the key
-                stretches.append((start, (key - 2) // 2, inside, 0))
-            if key & 1:
-                stretches.append((key // 2, key // 2, inside & ~on, on))
-            inside ^= flip
-            start = (key + 1) // 2
+        inside = start = flip = on = 0  # loops crossed an odd number of times; next column
+        key = row[0][0]
+        for k, f, o in row:
+            if k != key:
+                i = key >> 1  # columns below i lie strictly left of the key
+                if start < i:
+                    stretches.append((start, i - 1, inside, 0))
+                if key & 1:
+                    stretches.append((i, i, inside & ~on, on))
+                    i += 1
+                inside ^= flip
+                start, key, flip, on = i, k, 0, 0
+            flip ^= f
+            on |= o
         if start < columns:
             stretches.append((start, columns - 1, inside, 0))
     return runs

@@ -3,14 +3,15 @@ and the implementations replaced by faster ones, kept as references: the
 level-wise nerve enumerator, the rational-arithmetic nerve, witness and
 candidate list with its segment-meeting scan, the closure-based complex (maximal search and ranks over
 every simplex), the per-pixel raster with its breadth-first
-counts, the unpruned clearance loop, the all-pairs CW intersection check,
+counts, the row scan with a division per edge and row, the unpruned clearance loop, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
 from collections import deque
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain, combinations, groupby
+from operator import itemgetter
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ribbonkit.complexes import (
     CellComplex,
@@ -32,6 +33,7 @@ from ribbonkit.errors import FilamentEndpointOffBoundary, FrameTooSmall
 from ribbonkit.geometry import (
     Point2,
     PointLocation,
+    _lattice_key,
     bounding_box,
     boxes_meet,
     cross_value,
@@ -505,6 +507,79 @@ def reference_rasterize(regions, frame, resolution) -> Bitmap:
                 if r.contains(Point2(cx, cy)):
                     bits.add((i, j))
     return bitmap_from_bits(width, height, resolution, frame, bits)
+
+
+def reference_lattice_row_runs(
+    loops: Iterable[Sequence[Tuple[int, int]]],
+    origin: Tuple[int, int],
+    step: Tuple[int, int],
+    shape: Tuple[int, int],
+) -> Dict[int, List[Tuple[int, int, int, int]]]:
+    """Split the rows of a lattice into stretches no loop boundary crosses.
+
+    Lattice point ``(i, j)`` sits at ``(ox + i * sx, oy + j * sy)`` for
+    ``origin = (ox, oy)``, ``step = (sx, sy)``, ``0 <= i < columns`` and
+    ``0 <= j < rows`` with ``shape = (columns, rows)``; loop vertices are
+    ``(x, y)`` pairs of ``int``.  For each row the closed loops meet,
+    ``runs[j]`` lists closed column stretches ``(first, last, inside, on)``
+    covering the row from left to right.  Bit ``b`` of the masks is loop
+    ``b``: every point of the stretch lies on that loop if it is set in
+    ``on``, strictly inside it if set in ``inside``, and outside it if set
+    in neither, as :meth:`ScaledLoop.classify` finds.  The rows missing
+    from ``runs`` are outside every loop.
+    """
+    ox, oy = origin
+    sx, sy = step
+    columns, rows = shape
+    top = 2 * columns
+    # events[j] holds (key, flip, on), keyed as by _lattice_key, for each
+    # lattice column an edge lying on row j covers and each point where another
+    # edge meets the row's line; ``flip`` has the loop's bit when that edge
+    # crosses by the half-open rule of ScaledLoop.classify: y1 <= y < y2.
+    events: Dict[int, List[Tuple[int, int, int]]] = {}
+    for b, loop in enumerate(loops):
+        bit = 1 << b
+        for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
+            if y1 == y2:
+                row = _lattice_key(y1, oy, sy)
+                if row & 1 and 0 <= row // 2 < rows:
+                    lo, hi = sorted((_lattice_key(x1, ox, sx), _lattice_key(x2, ox, sx)))
+                    events.setdefault(row // 2, []).extend(
+                        (k, 0, bit) for k in range(max(lo | 1, 1), min(hi, top - 1) + 1, 2)
+                    )
+                continue
+            if y1 > y2:
+                x1, y1, x2, y2 = x2, y2, x1, y1
+            dy, dx = y2 - y1, x2 - x1
+            first = max(_lattice_key(y1, oy, sy) // 2, 0)
+            last = min((_lattice_key(y2, oy, sy) - 1) // 2, rows - 1)
+            # The edge meets row j at x = x1 + (oy + j * sy - y1) * dx / dy, whose
+            # key is that of _lattice_key from (x - ox) * dy = num in units sx * dy.
+            num, inc, unit = (x1 - ox) * dy + (oy + first * sy - y1) * dx, sy * dx, sx * dy
+            for j in range(first, last + 1):
+                q, rem = divmod(num, unit)
+                # Keys off the lattice keep their flips at its two ends.
+                key = min(max(2 * q + (2 if rem else 1), 0), top)
+                events.setdefault(j, []).append((key, bit if oy + j * sy < y2 else 0, bit))
+                num += inc
+    runs: Dict[int, List[Tuple[int, int, int, int]]] = {}
+    for j, row in events.items():
+        stretches = runs[j] = []
+        inside = start = 0  # loops crossed an odd number of times; next column
+        for key, group in groupby(sorted(row), itemgetter(0)):
+            flip = on = 0
+            for _, f, o in group:
+                flip ^= f
+                on |= o
+            if start <= (key - 2) // 2:  # the columns strictly left of the key
+                stretches.append((start, (key - 2) // 2, inside, 0))
+            if key & 1:
+                stretches.append((key // 2, key // 2, inside & ~on, on))
+            inside ^= flip
+            start = (key + 1) // 2
+        if start < columns:
+            stretches.append((start, columns - 1, inside, 0))
+    return runs
 
 
 _EIGHT = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))

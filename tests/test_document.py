@@ -295,6 +295,30 @@ def test_cli_nervecheck_builds_one_loop_per_cycle(tmp_path, capsys, monkeypatch)
     assert len(builds) == 3
 
 
+# Four rectangles that form a ring around the square (1, 2) x (1, 2): the
+# nerve is a 4-cycle and the union an annulus, so both lines read b1=1.
+RING = (
+    '{"complexes":{"K":{"cycles":{"e":["e0","e1","e2","e3"],"n":["n0","n1","n2","n3"],'
+    '"s":["s0","s1","s2","s3"],"w":["w0","w1","w2","w3"]},"vertices":{"e0":["2","0"],'
+    '"e1":["3","0"],"e2":["3","3"],"e3":["2","3"],"n0":["0","2"],"n1":["3","2"],"n2":["3","3"],'
+    '"n3":["0","3"],"s0":["0","0"],"s1":["3","0"],"s2":["3","1"],"s3":["0","1"],"w0":["0","0"],'
+    '"w1":["1","0"],"w2":["1","3"],"w3":["0","3"]}}},"format_version":1}\n'
+)
+
+
+@pytest.mark.parametrize("resolution", (16, 32))
+def test_cli_nervecheck_ring_stdout_is_byte_exact(tmp_path, capsys, resolution):
+    ring = tmp_path / "ring.rcx"
+    ring.write_text(RING, encoding="utf-8")
+    assert main(["nervecheck", str(ring), "--resolution", str(resolution)]) == 0
+    assert capsys.readouterr().out == (
+        f"regions=4 resolution={resolution} passed=true\n"
+        "  nerve  b0=1 b1=1\n"
+        "  union  b0=1 b1=1\n"
+        "  min_boundary_clearance_sq=0\n"
+    )
+
+
 def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):
     golden = str(GOLDEN / "two_hole_ribbon.rcx")
     argv = ["divide", golden, "--target", "ring", "--grid", "15"]

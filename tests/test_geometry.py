@@ -11,6 +11,7 @@ from helpers import (
     nudged_map,
     on_segment,
     random_slanted_family,
+    reference_lattice_row_runs,
     reference_segment_intersection,
     reference_simple_polygon,
 )
@@ -327,12 +328,19 @@ def test_lattice_round_trips_points():
 def test_lattice_row_runs_contract():
     # Random integer loops, some leaving the lattice on the left, the right
     # or both sides, and above or below it; half of the vertices sit on
-    # lattice points, so edges run along rows and through columns.
+    # lattice points, so edges run along rows and through columns.  One case
+    # in four adds a shallow triangle on a wider lattice: its two slanted
+    # edges move more than five columns a row, one to the right and one to
+    # the left, so each row steps the crossing's key by a whole quotient and
+    # carries a remainder.  Another case in four is scaled by 10**12, origin
+    # and step included.  The whole result also equals the scan with one
+    # division per edge and row.
     rng = Random(59)
     masks = {PointLocation.INSIDE: (1, 0), PointLocation.ON_BOUNDARY: (0, 1), PointLocation.OUTSIDE: (0, 0)}
     seen = Counter()
-    for _ in range(300):
-        columns, rows = rng.randint(1, 12), rng.randint(1, 12)
+    for case in range(400):
+        shallow, scale = case % 4 == 1, 10**12 if case % 4 == 2 else 1
+        columns, rows = (rng.randint(20, 40), rng.randint(2, 5)) if shallow else (rng.randint(1, 12), rng.randint(1, 12))
         ox, oy, sx, sy = rng.randint(-9, 9), rng.randint(-9, 9), rng.randint(1, 5), rng.randint(1, 5)
         loops = []
         for _ in range(rng.randint(1, 3)):
@@ -345,8 +353,18 @@ def test_lattice_row_runs_contract():
                 else:
                     loop.append((ox + i * sx + rng.randrange(sx), oy + j * sy + rng.randrange(sy)))
             loops.append(loop)
+        if shallow:
+            x0 = ox + rng.randint(columns // 4, 3 * columns // 4) * sx + rng.randrange(sx)
+            loop = [(x0, oy + rng.randint(-1, 0) * sy + rng.randrange(sy))]
+            for sign in (1, -1):
+                dy = rng.randint(sy, rows * sy)
+                loop.append((x0 + sign * rng.randint(5 * sx * dy + 1, 7 * sx * dy), loop[0][1] + dy))
+            loops.append(loop)
+        loops = [[(x * scale, y * scale) for x, y in loop] for loop in loops]
+        ox, oy, sx, sy = ox * scale, oy * scale, sx * scale, sy * scale
         scaled = [ScaledLoop([Point2(x, y) for x, y in loop]) for loop in loops]
         runs = lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
+        assert runs == reference_lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
         assert set(runs) <= set(range(rows))
         for j in range(rows):
             y = oy + j * sy
@@ -360,8 +378,9 @@ def test_lattice_row_runs_contract():
                         assert (inside >> b & 1, on >> b & 1) == masks[where]
                         seen[where] += 1
             # What the row meets: vertices, edges along it with a lattice
-            # column strictly between their ends, and edges crossing its line
-            # at least one column step left or right of the lattice.
+            # column strictly between their ends, edges crossing its line at
+            # least one column step left or right of the lattice, and shallow
+            # edges crossing it on the lattice with a remainder carried.
             for loop in loops:
                 for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
                     if y1 == y:
@@ -374,7 +393,10 @@ def test_lattice_row_runs_contract():
                             seen["clamped left"] += 1
                         if x >= ox + columns * sx:
                             seen["clamped right"] += 1
-    assert min(seen.values()) > 20 and len(seen) == 7, seen
+                        dx, dy = abs(x2 - x1), abs(y2 - y1)
+                        if dx > 5 * sx * dy and sy * dx % (sx * dy) and ox <= x < ox + columns * sx:
+                            seen["shallow " + ("right" if (x2 - x1) * (y2 - y1) > 0 else "left")] += 1
+    assert min(seen.values()) > 20 and len(seen) == 9, seen
 
 
 def test_simple_polygon_matches_unpruned_reference():

@@ -385,6 +385,13 @@ def _random_bitmaps():
         density = rng.choice((0.2, 0.45, 0.6, 0.85))
         bits = {(i, j) for i in range(w) for j in range(h) if rng.random() < density}
         yield bitmap_from_bits(w, h, 4, frame, bits)
+    # larger and denser, where rings nest in other rings' holes
+    rng = Random(4043)
+    for _ in range(30):
+        w, h = rng.randint(14, 24), rng.randint(14, 24)
+        density = rng.uniform(0.5, 0.6)
+        bits = {(i, j) for i in range(w) for j in range(h) if rng.random() < density}
+        yield bitmap_from_bits(w, h, 4, frame, bits)
     for w, h in ((1, 1), (1, 7), (7, 1), (6, 6), (7, 5)):
         cells = [(i, j) for i in range(w) for j in range(h)]
         yield bitmap_from_bits(w, h, 4, frame, set())
@@ -423,6 +430,21 @@ def test_cubical_betti_hand_cases():
     assert cubical_betti(bitmap_from_bits(4, 4, 4, frame, board)) == (1, 2)
     diamond = {(2, 0), (1, 1), (3, 1), (0, 2), (4, 2), (1, 3), (3, 3), (2, 4)}
     assert cubical_betti(bitmap_from_bits(5, 5, 4, frame, diamond)) == (1, 1)
+
+    def square_ring(lo, hi):
+        return {(i, j) for i in range(lo, hi + 1) for j in range(lo, hi + 1) if lo in (i, j) or hi in (i, j)}
+
+    # a ring inside another ring's hole: two components, the gap between
+    # them and the inner ring's own hole
+    assert cubical_betti(bitmap_from_bits(9, 9, 4, frame, square_ring(1, 7) | square_ring(3, 5))) == (2, 2)
+    # a pixel inside a ring's hole leaves one hole around it
+    assert cubical_betti(bitmap_from_bits(7, 7, 4, frame, square_ring(1, 5) | {(3, 3)})) == (2, 1)
+    # a ring closed only by a diagonal link at a missing corner still has its hole
+    assert cubical_betti(bitmap_from_bits(5, 5, 4, frame, ring - {(1, 1)})) == (1, 1)
+    # a one-pixel gap in a side lets the hole out 4-ways
+    assert cubical_betti(bitmap_from_bits(5, 5, 4, frame, ring - {(2, 1)})) == (1, 0)
+    # a ring lying on the bitmap border
+    assert cubical_betti(bitmap_from_bits(3, 3, 4, frame, square_ring(0, 2))) == (1, 1)
 
 
 def test_bitmap_rejects_runs_that_are_not_maximal():
