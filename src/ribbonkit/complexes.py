@@ -15,12 +15,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateCell, UnknownCellId
 from .geometry import (
-    Lattice,
+    LatticePoint,
     Point2,
+    as_lattice_point,
     bounding_box,
     boxes_meet,
     cross_value,
@@ -35,18 +36,19 @@ class CellKind(Enum):
     TRIANGLE = "triangle"
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(NamedTuple):
     kind: CellKind
     vertex_ids: Tuple[str, ...]
 
 
 class CellComplex:
-    """Mutable-while-building container of cells; treat as frozen afterwards."""
+    """Mutable-while-building container of cells; treat as frozen afterwards.
+    ``lattice_points`` holds each vertex's ``as_lattice_point``."""
 
     def __init__(self, name: str = ""):
         self.name = name
         self.vertices: Dict[str, Point2] = {}
+        self.lattice_points: Dict[str, LatticePoint] = {}
         self.cells: Dict[str, Cell] = {}
         self._edge_index: Dict[FrozenSet[str], str] = {}
 
@@ -59,6 +61,7 @@ class CellComplex:
                 raise ValueError(f"vertex {vid!r} already bound to {existing}")
             return vid
         self.vertices[vid] = p
+        self.lattice_points[vid] = as_lattice_point(p)
         self.cells[vid] = Cell(CellKind.VERTEX, (vid,))
         return vid
 
@@ -70,8 +73,7 @@ class CellComplex:
         if found is not None:
             return found
         if eid is None:
-            lo, hi = sorted((a, b))
-            eid = f"{lo}--{hi}"
+            eid = f"{a}--{b}" if a < b else f"{b}--{a}"
         if eid in self.cells:
             raise ValueError(f"cell id {eid!r} already in use")
         self.cells[eid] = Cell(CellKind.EDGE, (a, b))
@@ -81,9 +83,12 @@ class CellComplex:
     def add_triangle(self, a: str, b: str, c: str, tid: Optional[str] = None) -> str:
         if len({a, b, c}) != 3:
             raise DegenerateCell("triangle needs three distinct vertices")
-        pts = [self.vertices.get(v) for v in (a, b, c)]
-        if None not in pts and cross_value(*pts) == 0:
-            raise DegenerateCell(f"triangle {a},{b},{c} is collinear")
+        pts = [self.lattice_points.get(v) for v in (a, b, c)]
+        if None not in pts:
+            # The determinant of the rows (X, Y, D) is the doubled area times the D's.
+            (xa, ya, da), (xb, yb, db), (xc, yc, dc) = pts
+            if xa * (yb * dc - yc * db) - ya * (xb * dc - xc * db) + da * (xb * yc - xc * yb) == 0:
+                raise DegenerateCell(f"triangle {a},{b},{c} is collinear")
         if tid is None:
             tid = "--".join(sorted((a, b, c)))
         if tid in self.cells:
@@ -434,8 +439,8 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     their hull, a segment or a point; only edge cells cover a
     shared segment, and only triangles of positive area a shared region.
     """
-    lattice = Lattice(k.vertices.values())
-    coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
+    s = lcm(*{d for _, _, d in k.lattice_points.values()})
+    coords = {vid: Point2(x * (s // d), y * (s // d)) for vid, (x, y, d) in k.lattice_points.items()}
     realized = {}
     for cid, cell in k.cells.items():
         pts = [coords.get(vid) for vid in cell.vertex_ids]
@@ -449,7 +454,7 @@ def validate_cw(k: CellComplex) -> ValidityReport:
     vertex_coords = {(p.x, p.y) for p in coords.values()}
 
     def unscaled(p: Point2) -> Point2:
-        return lattice.point(p.x, p.y)
+        return Point2(Fraction(p.x, s), Fraction(p.y, s))
 
     intersection: List[str] = []
     grid = _Buckets(boxes)

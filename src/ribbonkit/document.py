@@ -4,6 +4,9 @@ Canonical form has sorted keys, no insignificant whitespace, and rationals
 as reduced ``"num/den"`` strings (plain ``"num"`` when the denominator is
 one).  Serializing a parsed canonical document reproduces it byte for
 byte.
+
+:func:`parse_document` reads each coordinate string once per call, by integer
+tests on its digits; the complex keeps each vertex's integer parts.
 """
 from __future__ import annotations
 
@@ -11,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .complexes import CellComplex, CellKind
@@ -25,7 +29,6 @@ from .errors import (
 from .geometry import Point2, to_fraction
 from .proximity import probe_by_name
 from .ribbons import (
-    Filament,
     FilledCycle,
     Ribbon,
     RibbonComplex,
@@ -36,7 +39,7 @@ from .ribbons import (
 
 FORMAT_VERSION = 1
 # Canonical spellings only: an exponent would make Fraction expand it unbounded.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
 
 
 def format_rational(value: Fraction) -> str:
@@ -64,18 +67,18 @@ def parse_rational(raw, path: str) -> Fraction:
         except ValueError as exc:
             raise NonCanonicalRational(f"{path}: {exc}") from exc
     if isinstance(raw, str):
-        if not _RATIONAL.fullmatch(raw):
+        m = _RATIONAL.fullmatch(raw)
+        if m is None:
             raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a canonical rational")
-        num, _, den = raw.partition("/")
+        num, digits, den = m.groups()
         try:
             n, d = int(num), int(den or 1)
             value = Fraction(n, d)
         except (ValueError, ZeroDivisionError) as exc:
             raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a rational") from exc
-        if str(n) != num or value.denominator != d or (den and (d == 1 or str(d) != den)):
+        if (digits[0] == "0" and num != "0") or (den and (den[0] == "0" or d == 1 or gcd(n, d) != 1)):
             raise NonCanonicalRational(
-                f"{path}: {_quoted(raw)} is not canonical"
-                f" (expected {_quoted(format_rational(value))})"
+                f"{path}: {_quoted(raw)} is not canonical (expected {_quoted(format_rational(value))})"
             )
         return value
     raise SchemaViolation(f"{path}: expected a rational, got {type(raw).__name__}")
@@ -131,11 +134,37 @@ def _check_keys(node: dict, allowed: Sequence[str], path: str) -> None:
         raise SchemaViolation(f"{path}: unknown keys {sorted(unknown)}")
 
 
-def _parse_point(node, path: str) -> Point2:
-    arr = _expect_list(node, path)
-    if len(arr) != 2:
+def _entries(node: dict, key: str, path: str) -> list:
+    """Sorted items of the object ``node[key]``, if present."""
+    return sorted(_expect_dict(node.get(key, {}), f"{path}.{key}").items())
+
+
+class _Rationals(dict):
+    """The value of each coordinate string read by one parse; a value that
+    is not a string, or not a canonical rational, is missing."""
+
+    def __missing__(self, raw):
+        if type(raw) is not str:
+            raise KeyError(raw)
+        try:
+            self[raw] = parse_rational(raw, "")
+        except SchemaViolation as exc:
+            raise KeyError(raw) from exc
+        return self[raw]
+
+
+def _parse_point(node, rationals: _Rationals, *path: str) -> Point2:
+    """``node`` as a point; the parts of ``path`` are joined only for a
+    coordinate that ``rationals`` misses."""
+    try:
+        if type(node) is list and len(node) == 2:
+            return Point2(rationals[node[0]], rationals[node[1]])
+    except (KeyError, TypeError):  # TypeError: an unhashable coordinate
+        pass
+    path = "".join(path)
+    if len(_expect_list(node, path)) != 2:
         raise SchemaViolation(f"{path}: a point is a [x, y] pair")
-    return Point2(parse_rational(arr[0], f"{path}[0]"), parse_rational(arr[1], f"{path}[1]"))
+    return Point2(*[parse_rational(raw, f"{path}[{i}]") for i, raw in enumerate(node)])
 
 
 def _parse_filament_list(node, path: str) -> List[Tuple[str, str]]:
@@ -148,10 +177,19 @@ def _parse_filament_list(node, path: str) -> List[Tuple[str, str]]:
     return out
 
 
-def _register(doc: ComplexDocument, table: Dict, name: str, obj, path: str) -> None:
-    tables = (doc.complexes, doc.cycles, doc.ribbons, doc.ribbon_complexes, doc.vortex_nerves)
-    if any(name in t for t in tables):
+def _member(table: Dict, node, k: CellComplex, path: str, kind: str):
+    """The structure of ``table`` on ``k`` named by ``node``."""
+    name = _expect_str(node, path)
+    obj = table.get(name)
+    if obj is None or obj.complex is not k:
+        raise UnresolvedReference(f"{path}: unknown {kind} {name!r}")
+    return obj
+
+
+def _register(names: set, table: Dict, name: str, obj, path: str) -> None:
+    if name in names:
         raise SchemaViolation(f"{path}: name {name!r} is already in use")
+    names.add(name)
     table[name] = obj
 
 
@@ -166,8 +204,9 @@ def parse_document(text: str) -> ComplexDocument:
     if version != FORMAT_VERSION:
         raise SchemaViolation(f"$.format_version: expected {FORMAT_VERSION}, got {version!r}")
     doc = ComplexDocument(format_version=version)
+    names, rationals = set(), _Rationals()
 
-    for kname, knode in sorted(_expect_dict(root.get("complexes", {}), "$.complexes").items()):
+    for kname, knode in _entries(root, "complexes", "$"):
         kpath = f"$.complexes.{kname}"
         knode = _expect_dict(knode, kpath)
         _check_keys(
@@ -176,40 +215,33 @@ def parse_document(text: str) -> ComplexDocument:
             kpath,
         )
         k = CellComplex(kname)
-        _register(doc, doc.complexes, kname, k, kpath)
-        for vid, vnode in sorted(_expect_dict(knode.get("vertices", {}), f"{kpath}.vertices").items()):
+        _register(names, doc.complexes, kname, k, kpath)
+        for vid, vnode in _entries(knode, "vertices", kpath):
+            p = _parse_point(vnode, rationals, kpath, ".vertices.", vid)
             try:
-                k.add_vertex(vid, _parse_point(vnode, f"{kpath}.vertices.{vid}"))
+                k.add_vertex(vid, p)
             except ValueError as exc:
                 raise SchemaViolation(f"{kpath}.vertices.{vid}: {exc}") from exc
-        for eid, enode in sorted(_expect_dict(knode.get("edges", {}), f"{kpath}.edges").items()):
-            pair = _expect_list(enode, f"{kpath}.edges.{eid}")
-            if len(pair) != 2:
-                raise SchemaViolation(f"{kpath}.edges.{eid}: an edge is an [a, b] pair")
-            a, b = (_expect_str(v, f"{kpath}.edges.{eid}") for v in pair)
-            for vid in (a, b):
-                if vid not in k.vertices:
-                    raise UnresolvedReference(f"{kpath}.edges.{eid}: unknown vertex {vid!r}")
-            if k.edge_between(a, b) is not None:
-                raise SchemaViolation(f"{kpath}.edges.{eid}: duplicate edge {a!r}-{b!r}")
-            try:
-                k.add_edge(a, b, eid)
-            except RibbonError as exc:
-                raise SchemaViolation(f"{kpath}.edges.{eid}: {exc}") from exc
-        for tid, tnode in sorted(_expect_dict(knode.get("triangles", {}), f"{kpath}.triangles").items()):
-            triple = _expect_list(tnode, f"{kpath}.triangles.{tid}")
-            if len(triple) != 3:
-                raise SchemaViolation(f"{kpath}.triangles.{tid}: a triangle is an [a, b, c] triple")
-            a, b, c = (_expect_str(v, f"{kpath}.triangles.{tid}") for v in triple)
-            for vid in (a, b, c):
-                if vid not in k.vertices:
-                    raise UnresolvedReference(f"{kpath}.triangles.{tid}: unknown vertex {vid!r}")
-            try:
-                k.add_triangle(a, b, c, tid)
-            except RibbonError as exc:
-                raise SchemaViolation(f"{kpath}.triangles.{tid}: {exc}") from exc
+        for table, size, add, shape in (
+            ("edges", 2, k.add_edge, "an edge is an [a, b] pair"),
+            ("triangles", 3, k.add_triangle, "a triangle is an [a, b, c] triple"),
+        ):
+            for cid, cnode in _entries(knode, table, kpath):
+                cpath = f"{kpath}.{table}.{cid}"
+                if len(_expect_list(cnode, cpath)) != size:
+                    raise SchemaViolation(f"{cpath}: {shape}")
+                ids = [_expect_str(v, cpath) for v in cnode]
+                for vid in ids:
+                    if vid not in k.vertices:
+                        raise UnresolvedReference(f"{cpath}: unknown vertex {vid!r}")
+                if size == 2 and k.edge_between(*ids) is not None:
+                    raise SchemaViolation(f"{cpath}: duplicate edge {ids[0]!r}-{ids[1]!r}")
+                try:
+                    add(*ids, cid)
+                except RibbonError as exc:
+                    raise SchemaViolation(f"{cpath}: {exc}") from exc
 
-        for cname, cnode in sorted(_expect_dict(knode.get("cycles", {}), f"{kpath}.cycles").items()):
+        for cname, cnode in _entries(knode, "cycles", kpath):
             cpath = f"{kpath}.cycles.{cname}"
             loop = [_expect_str(v, cpath) for v in _expect_list(cnode, cpath)]
             try:
@@ -218,21 +250,16 @@ def parse_document(text: str) -> ComplexDocument:
                 raise UnresolvedReference(f"{cpath}: {exc}") from exc
             except RibbonError as exc:
                 raise SchemaViolation(f"{cpath}: {exc}") from exc
-            _register(doc, doc.cycles, cname, cyc, cpath)
+            _register(names, doc.cycles, cname, cyc, cpath)
 
-        for rname, rnode in sorted(_expect_dict(knode.get("ribbons", {}), f"{kpath}.ribbons").items()):
+        for rname, rnode in _entries(knode, "ribbons", kpath):
             rpath = f"{kpath}.ribbons.{rname}"
             rnode = _expect_dict(rnode, rpath)
             _check_keys(rnode, ("outer", "inner", "filaments", "holes", "fixed_vertex"), rpath)
-            cycles = {}
-            for role in ("outer", "inner"):
-                cyc_name = _expect_str(rnode.get(role, ""), f"{rpath}.{role}")
-                cyc = doc.cycles.get(cyc_name)
-                if cyc is None or cyc.complex is not k:
-                    raise UnresolvedReference(f"{rpath}.{role}: unknown cycle {cyc_name!r}")
-                cycles[role] = cyc
+            outer, inner = (_member(doc.cycles, rnode.get(role, ""), k, f"{rpath}.{role}", "cycle")
+                            for role in ("outer", "inner"))
             holes = [
-                _parse_point(hnode, f"{rpath}.holes[{i}]")
+                _parse_point(hnode, rationals, f"{rpath}.holes[{i}]")
                 for i, hnode in enumerate(_expect_list(rnode.get("holes", []), f"{rpath}.holes"))
             ]
             filaments = _parse_filament_list(rnode.get("filaments", []), f"{rpath}.filaments")
@@ -240,57 +267,37 @@ def parse_document(text: str) -> ComplexDocument:
             if fixed is not None:
                 fixed = _expect_str(fixed, f"{rpath}.fixed_vertex")
             try:
-                ribbon = make_ribbon(
-                    cycles["outer"],
-                    cycles["inner"],
-                    filaments=filaments,
-                    holes=holes,
-                    label=rname,
-                    fixed_vertex=fixed,
-                )
+                ribbon = make_ribbon(outer, inner, filaments, holes, label=rname, fixed_vertex=fixed)
             except RibbonError as exc:
                 raise SchemaViolation(f"{rpath}: {exc}") from exc
-            _register(doc, doc.ribbons, rname, ribbon, rpath)
+            _register(names, doc.ribbons, rname, ribbon, rpath)
 
-        for xname, xnode in sorted(
-            _expect_dict(knode.get("ribbon_complexes", {}), f"{kpath}.ribbon_complexes").items()
-        ):
+        for xname, xnode in _entries(knode, "ribbon_complexes", kpath):
             xpath = f"{kpath}.ribbon_complexes.{xname}"
-            members = []
-            for i, item in enumerate(_expect_list(xnode, xpath)):
-                rid = _expect_str(item, f"{xpath}[{i}]")
-                ribbon = doc.ribbons.get(rid)
-                if ribbon is None or ribbon.complex is not k:
-                    raise UnresolvedReference(f"{xpath}[{i}]: unknown ribbon {rid!r}")
-                members.append(ribbon)
+            members = [
+                _member(doc.ribbons, item, k, f"{xpath}[{i}]", "ribbon")
+                for i, item in enumerate(_expect_list(xnode, xpath))
+            ]
             try:
                 rbx = RibbonComplex(tuple(members), label=xname)
             except RibbonError as exc:
                 raise SchemaViolation(f"{xpath}: {exc}") from exc
-            _register(doc, doc.ribbon_complexes, xname, rbx, xpath)
+            _register(names, doc.ribbon_complexes, xname, rbx, xpath)
 
-        for vname, vnode in sorted(
-            _expect_dict(knode.get("vortex_nerves", {}), f"{kpath}.vortex_nerves").items()
-        ):
+        for vname, vnode in _entries(knode, "vortex_nerves", kpath):
             vpath = f"{kpath}.vortex_nerves.{vname}"
             vnode = _expect_dict(vnode, vpath)
             _check_keys(vnode, ("cycles", "filaments"), vpath)
-            chain = []
-            for i, item in enumerate(_expect_list(vnode.get("cycles", []), f"{vpath}.cycles")):
-                cid = _expect_str(item, f"{vpath}.cycles[{i}]")
-                cyc = doc.cycles.get(cid)
-                if cyc is None or cyc.complex is not k:
-                    raise UnresolvedReference(f"{vpath}.cycles[{i}]: unknown cycle {cid!r}")
-                chain.append(cyc)
-            filaments = [
-                Filament(*pair)
-                for pair in _parse_filament_list(vnode.get("filaments", []), f"{vpath}.filaments")
+            chain = [
+                _member(doc.cycles, item, k, f"{vpath}.cycles[{i}]", "cycle")
+                for i, item in enumerate(_expect_list(vnode.get("cycles", []), f"{vpath}.cycles"))
             ]
+            filaments = _parse_filament_list(vnode.get("filaments", []), f"{vpath}.filaments")
             try:
                 vnrv = VortexNerve(tuple(chain), tuple(filaments), label=vname)
             except RibbonError as exc:
                 raise SchemaViolation(f"{vpath}: {exc}") from exc
-            _register(doc, doc.vortex_nerves, vname, vnrv, vpath)
+            _register(names, doc.vortex_nerves, vname, vnrv, vpath)
 
     if "probes" in root:
         probes = [_expect_str(p, "$.probes") for p in _expect_list(root["probes"], "$.probes")]
@@ -308,84 +315,49 @@ def parse_document(text: str) -> ComplexDocument:
     return doc
 
 
-def _cycle_name(doc: ComplexDocument, c: FilledCycle) -> str:
-    for name, obj in doc.cycles.items():
-        if obj is c:
+def _name(table: Dict, obj, user: str, kind: str) -> str:
+    for name, other in table.items():
+        if other is obj:
             return name
-    raise ValueError("ribbon references a cycle that is not named in the document")
-
-
-def _ribbon_name(doc: ComplexDocument, r: Ribbon) -> str:
-    for name, obj in doc.ribbons.items():
-        if obj is r:
-            return name
-    raise ValueError("collection references a ribbon that is not named in the document")
+    raise ValueError(f"{user} references a {kind} that is not named in the document")
 
 
 def document_payload(doc: ComplexDocument) -> dict:
     """Plain-JSON payload in canonical (fully named) shape."""
     payload: dict = {"format_version": doc.format_version, "complexes": {}}
     for kname, k in doc.complexes.items():
-        knode: dict = {}
-        knode["vertices"] = {
-            vid: [format_rational(p.x), format_rational(p.y)]
-            for vid, p in k.vertices.items()
-        }
-        edges = {
-            cid: list(cell.vertex_ids)
-            for cid, cell in k.cells.items()
-            if cell.kind is CellKind.EDGE
-        }
-        if edges:
-            knode["edges"] = edges
-        triangles = {
-            cid: list(cell.vertex_ids)
-            for cid, cell in k.cells.items()
-            if cell.kind is CellKind.TRIANGLE
-        }
-        if triangles:
-            knode["triangles"] = triangles
-        cycles = {
-            name: list(c.loop) for name, c in doc.cycles.items() if c.complex is k
-        }
-        if cycles:
-            knode["cycles"] = cycles
         ribbons = {}
         for name, r in doc.ribbons.items():
-            if r.complex is not k:
-                continue
-            rnode = {
-                "outer": _cycle_name(doc, r.outer),
-                "inner": _cycle_name(doc, r.inner),
-                "filaments": [[f.outer_vertex, f.inner_vertex] for f in r.filaments],
-                "holes": [
-                    [format_rational(h.marker.x), format_rational(h.marker.y)]
-                    for h in r.holes
-                ],
-            }
-            if r.fixed_vertex is not None:
-                rnode["fixed_vertex"] = r.fixed_vertex
-            ribbons[name] = rnode
-        if ribbons:
-            knode["ribbons"] = ribbons
-        rbxs = {
-            name: [_ribbon_name(doc, r) for r in x.ribbons]
-            for name, x in doc.ribbon_complexes.items()
-            if x.ribbons[0].complex is k
+            if r.complex is k:
+                ribbons[name] = {
+                    "outer": _name(doc.cycles, r.outer, "ribbon", "cycle"),
+                    "inner": _name(doc.cycles, r.inner, "ribbon", "cycle"),
+                    "filaments": [[f.outer_vertex, f.inner_vertex] for f in r.filaments],
+                    "holes": [[format_rational(h.marker.x), format_rational(h.marker.y)] for h in r.holes],
+                }
+                if r.fixed_vertex is not None:
+                    ribbons[name]["fixed_vertex"] = r.fixed_vertex
+        tables = {
+            "vertices": {vid: [format_rational(p.x), format_rational(p.y)] for vid, p in k.vertices.items()},
+            "edges": {cid: list(c.vertex_ids) for cid, c in k.cells.items() if c.kind is CellKind.EDGE},
+            "triangles": {cid: list(c.vertex_ids) for cid, c in k.cells.items() if c.kind is CellKind.TRIANGLE},
+            "cycles": {name: list(c.loop) for name, c in doc.cycles.items() if c.complex is k},
+            "ribbons": ribbons,
+            "ribbon_complexes": {
+                name: [_name(doc.ribbons, r, "collection", "ribbon") for r in x.ribbons]
+                for name, x in doc.ribbon_complexes.items()
+                if x.ribbons[0].complex is k
+            },
+            "vortex_nerves": {
+                name: {
+                    "cycles": [_name(doc.cycles, c, "ribbon", "cycle") for c in v.cycles],
+                    "filaments": [[f.outer_vertex, f.inner_vertex] for f in v.filaments],
+                }
+                for name, v in doc.vortex_nerves.items()
+                if v.cycles[0].complex is k
+            },
         }
-        if rbxs:
-            knode["ribbon_complexes"] = rbxs
-        vnrvs = {}
-        for name, v in doc.vortex_nerves.items():
-            if v.cycles[0].complex is not k:
-                continue
-            vnrvs[name] = {
-                "cycles": [_cycle_name(doc, c) for c in v.cycles],
-                "filaments": [[f.outer_vertex, f.inner_vertex] for f in v.filaments],
-            }
-        if vnrvs:
-            knode["vortex_nerves"] = vnrvs
-        payload["complexes"][kname] = knode
+        payload["complexes"][kname] = {key: table for key, table in tables.items() if table or key == "vertices"}
     if doc.probes is not None:
         payload["probes"] = list(doc.probes)
     if doc.threshold is not None:

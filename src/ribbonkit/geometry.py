@@ -92,11 +92,18 @@ def lattice_point(p: Point2, s: int) -> Tuple[int, int]:
     return (p.x.numerator * (s // p.x.denominator), p.y.numerator * (s // p.y.denominator))
 
 
+def as_lattice_point(p: Point2) -> LatticePoint:
+    """``p`` as ``(X, Y, D)``, ``D`` the lcm of its coordinates' denominators."""
+    d = lcm(p.x.denominator, p.y.denominator)
+    return (*lattice_point(p, d), d)
+
+
 def lattice_ring(xs: Sequence[int], ys: Sequence[int]) -> list:
     """The closed run of edges through the integer vertices ``(xs[i], ys[i])``,
     each an ``(x1, y1, x2, y2, xmin, ymin, xmax, ymax)`` tuple."""
     return [
-        (x1, y1, x2, y2, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        (x1, y1, x2, y2, x1 if x1 < x2 else x2, y1 if y1 < y2 else y2,
+         x2 if x1 < x2 else x1, y2 if y1 < y2 else y1)
         for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
     ]
 
@@ -218,12 +225,8 @@ class Lattice:
     __slots__ = ("s", "ox", "oy")
 
     def __init__(self, points: Iterable[Point2], origin: Point2 = Point2(0, 0), factor: int = 1):
-        den = lcm(origin.x.denominator, origin.y.denominator)
-        for p in points:
-            den = lcm(den, p.x.denominator, p.y.denominator)
-        self.s = s = factor * den
-        self.ox = origin.x.numerator * (s // origin.x.denominator)
-        self.oy = origin.y.numerator * (s // origin.y.denominator)
+        self.s = s = factor * lcm(*(c.denominator for p in (origin, *points) for c in (p.x, p.y)))
+        self.ox, self.oy = lattice_point(origin, s)
 
     def ints(self, p: Point2) -> Tuple[int, int]:
         x, y = lattice_point(p, self.s)
@@ -239,18 +242,20 @@ class ScaledLoop:
     It holds its ``points``, their rescale by the least common denominator
     ``den`` to the integers ``xs`` and ``ys``, and the :func:`lattice_ring`
     of those, so each point classification and each meeting test needs only
-    integer arithmetic.  It is the read-only sequence of its points.
+    integer arithmetic (``lattice`` may give the points' :func:`as_lattice_point`).
+    It is the read-only sequence of its points.
     """
 
     __slots__ = ("points", "den", "xs", "ys", "ring")
 
-    def __init__(self, points: Iterable[Point2]):
+    def __init__(self, points: Iterable[Point2], lattice: Optional[Sequence[LatticePoint]] = None):
         self.points = points = tuple(points)
         if len(points) < 3:
             raise TooFewVertices(f"a polygon needs at least 3 vertices, got {len(points)}")
-        self.den = s = Lattice(points).s
-        self.xs = [p.x.numerator * (s // p.x.denominator) for p in points]
-        self.ys = [p.y.numerator * (s // p.y.denominator) for p in points]
+        lattice = lattice or [as_lattice_point(p) for p in points]
+        self.den = s = lcm(*{d for _, _, d in lattice})
+        self.xs = [x * (s // d) for x, _, d in lattice]
+        self.ys = [y * (s // d) for _, y, d in lattice]
         self.ring = lattice_ring(self.xs, self.ys)
 
     def ring_at(self, s: int) -> list:

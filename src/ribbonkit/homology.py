@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, floor, lcm
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .division import Frame
@@ -20,9 +20,9 @@ from .errors import (
     NonConvexRegion,
 )
 from .geometry import (
-    Lattice,
     Point2,
     as_scaled_loop,
+    lattice_point,
     lattice_row_runs,
     segment_segment_distance_sq,
     simple_polygon,
@@ -146,25 +146,30 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
     """
     if resolution < 4:
         raise ValueError(f"resolution must be at least 4 pixels per unit, got {resolution}")
-    for r in regions:
-        for p in r.boundary_vertices():
-            if not frame.contains(p):
-                raise FrameTooSmall(f"region vertex {p} falls outside the frame")
-    width = ceil((frame.hi.x - frame.lo.x) * resolution)
-    height = ceil((frame.hi.y - frame.lo.y) * resolution)
+    lo, hi = frame.lo, frame.hi
+    width = ceil((hi.x - lo.x) * resolution)
+    height = ceil((hi.y - lo.y) * resolution)
     row_runs: List[List[Run]] = [[] for _ in range(height)]
     for r in regions:
-        # Scaled once to integers, X = (x - lo.x) * 2 * resolution * den with
-        # den the lcm of the denominators of the region and the frame corner,
-        # the centre of pixel (i, j) is at ((2i + 1) * den, (2j + 1) * den).
-        lattice = Lattice(r.boundary_vertices(), frame.lo, 2 * resolution)
-        den = lattice.s // (2 * resolution)
-        loops = [[lattice.ints(p) for p in loop.points] for loop in r.loops + r.excluded]
+        # X = (x - lo.x) * s with s = 2 * resolution * den, den the lcm of the loops'
+        # and lo's denominators, puts the centre of pixel (i, j) at (2i + 1) * den.
+        every = r.loops + r.excluded
+        den = lcm(lo.x.denominator, lo.y.denominator, *(loop.den for loop in every))
+        s = 2 * resolution * den
+        ox, oy = lattice_point(lo, s)
+        wx, wy = floor(hi.x * s) - ox, floor(hi.y * s) - oy  # X <= wx iff x <= hi.x
+        loops = []
+        for loop in every:
+            k = s // loop.den
+            loops.append([(x * k - ox, y * k - oy) for x, y in zip(loop.xs, loop.ys)])
+            for p, (x, y) in zip(loop.points, loops[-1]):
+                if not (0 <= x <= wx and 0 <= y <= wy):
+                    raise FrameTooSmall(f"region vertex {p} falls outside the frame")
         stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))
         held = (1 << len(r.loops)) - 1  # the loops' bits; the excluded loops' lie above
         for j, row in stretches.items():
             row_runs[j] += [(a, b) for a, b, inside, on in row if (inside | on) & held and inside <= held]
-    rows = tuple(_merge_runs(runs) for runs in row_runs)
+    rows = tuple(_merge_runs(runs) if runs else () for runs in row_runs)
     return Bitmap(width=width, height=height, resolution=resolution, frame=frame, rows=rows)
 
 

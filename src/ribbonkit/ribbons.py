@@ -28,6 +28,7 @@ from .geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    lattice_location,
     lattice_meetings,
     lattice_point,
     lattice_ring,
@@ -46,7 +47,8 @@ class FilledCycle:
 
     def __post_init__(self):
         self.loop = tuple(self.loop)
-        self.shape = ScaledLoop(self.complex.vertices[v] for v in self.loop)
+        k = self.complex
+        self.shape = ScaledLoop([k.vertices[v] for v in self.loop], [k.lattice_points[v] for v in self.loop])
 
     @property
     def points(self) -> Tuple[Point2, ...]:
@@ -71,20 +73,21 @@ def make_filled_cycle(k: CellComplex, loop: Sequence[str], label: str = "") -> F
     cycle = FilledCycle(k, loop, label)
     if not simple_polygon(cycle.shape):
         raise NonSimplePolygon(f"cycle {label or loop} is not a simple closed polygon")
-    n = len(loop)
-    for i in range(n):
-        k.add_edge(loop[i], loop[(i + 1) % n])
+    for a, b in zip(loop, loop[1:] + loop[:1]):
+        k.add_edge(a, b)
     return cycle
 
 
 def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
-    """True iff every inner vertex is strictly inside ``outer`` and the
-    two boundaries do not meet anywhere."""
-    for p in inner.points:
-        if outer.locate(p) is not PointLocation.INSIDE:
-            return False
-    s = lcm(inner.shape.den, outer.shape.den)
-    return next(lattice_meetings(inner.shape.ring_at(s), outer.shape.ring_at(s)), None) is None
+    """True iff every inner vertex is strictly inside ``outer`` and the two
+    boundaries do not meet anywhere.  If they do not, the inner loop lies in
+    one face of the outer, so its first vertex answers for all."""
+    a, b = inner.shape, outer.shape
+    s = lcm(a.den, b.den)
+    if next(lattice_meetings(a.ring_at(s), b.ring_at(s)), None) is not None:
+        return False
+    k = s // a.den
+    return lattice_location(b.xs, b.ys, a.xs[0] * k, a.ys[0] * k, s // b.den) is PointLocation.INSIDE
 
 
 def is_concentric(a: FilledCycle, b: FilledCycle) -> bool:

@@ -1,11 +1,13 @@
 """Shared builders for randomized tests: rectangular annuli and families,
 and the implementations replaced by faster ones, kept as references: the
-level-wise nerve enumerator, the rational-arithmetic nerve, witness and
+rational reader that builds a Fraction per coordinate, the loop rescale
+from Fraction coordinates, the level-wise nerve enumerator, the rational-arithmetic nerve, witness and
 candidate list with its segment-meeting scan, the closure-based complex (maximal search and ranks over
 every simplex), the per-pixel raster with its breadth-first
 counts, the row scan with a division per edge and row, the unpruned clearance loop, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
+import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, groupby
@@ -29,8 +31,15 @@ from ribbonkit.division import (
     _label,
     _require_frame,
 )
-from ribbonkit.errors import FilamentEndpointOffBoundary, FrameTooSmall
+from ribbonkit.document import _quoted, format_rational
+from ribbonkit.errors import (
+    FilamentEndpointOffBoundary,
+    FrameTooSmall,
+    NonCanonicalRational,
+    SchemaViolation,
+)
 from ribbonkit.geometry import (
+    Lattice,
     Point2,
     PointLocation,
     _lattice_key,
@@ -42,6 +51,7 @@ from ribbonkit.geometry import (
     polygon_area2,
     segment_point_distance_sq,
     segment_segment_distance_sq,
+    to_fraction,
     vertex_centroid,
 )
 from ribbonkit.homology import Bitmap, _gf2_rank
@@ -1020,3 +1030,48 @@ def reference_verify_partition(r: Ribbon, f: Frame, grid_density: int) -> Partit
         bounded=all(f.contains(p) for p in samples),
         witnesses=witnesses,
     )
+
+
+_REFERENCE_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
+def reference_parse_rational(raw, path: str) -> Fraction:
+    """Parse a document rational; strings must already be canonical."""
+    if isinstance(raw, bool):
+        raise SchemaViolation(f"{path}: expected a rational, got a boolean")
+    if isinstance(raw, int):
+        return Fraction(raw)
+    if isinstance(raw, float):
+        try:
+            return to_fraction(raw)
+        except ValueError as exc:
+            raise NonCanonicalRational(f"{path}: {exc}") from exc
+    if isinstance(raw, str):
+        if not _REFERENCE_RATIONAL.fullmatch(raw):
+            raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a canonical rational")
+        num, _, den = raw.partition("/")
+        try:
+            n, d = int(num), int(den or 1)
+            value = Fraction(n, d)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise NonCanonicalRational(f"{path}: {_quoted(raw)} is not a rational") from exc
+        if str(n) != num or value.denominator != d or (den and (d == 1 or str(d) != den)):
+            raise NonCanonicalRational(
+                f"{path}: {_quoted(raw)} is not canonical"
+                f" (expected {_quoted(format_rational(value))})"
+            )
+        return value
+    raise SchemaViolation(f"{path}: expected a rational, got {type(raw).__name__}")
+
+
+def reference_scaled_loop(points: Sequence[Point2]):
+    """``(den, xs, ys, ring)`` of a loop rescaled from its Fraction
+    coordinates, with each segment's box from ``min`` and ``max``."""
+    den = Lattice(points).s
+    xs = [p.x.numerator * (den // p.x.denominator) for p in points]
+    ys = [p.y.numerator * (den // p.y.denominator) for p in points]
+    ring = [
+        (x1, y1, x2, y2, min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
+        for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1])
+    ]
+    return den, xs, ys, ring

@@ -23,11 +23,56 @@ from ribbonkit.geometry import (
     Point2,
     PointLocation,
     bounding_box,
+    cross_value,
     orientation,
     point,
     point_in_polygon,
     segment_intersection,
 )
+
+
+def test_add_triangle_collinearity_matches_cross_value():
+    # The integer test on stored lattice points against the Fraction cross
+    # product: random triangles at denominators 1, 2, 3 and 7, collinear
+    # ones built on a line, triangles sharing vertices, and twin points.
+    rng = Random(2402)
+    k = CellComplex("K")
+    pool = []
+    seen = {True: 0, False: 0}
+
+    def fresh(p):
+        vid = f"v{len(k.vertices)}"
+        k.add_vertex(vid, p)
+        pool.append(vid)
+        return vid
+
+    def coord():
+        return Fraction(rng.randint(-12, 12), rng.choice((1, 2, 3, 7)))
+
+    for case in range(1500):
+        shape = rng.choice(("random", "on a line", "shared", "twin"))
+        if shape == "shared" and len(pool) >= 3:
+            a, b, c = rng.sample(pool, 3)
+        else:
+            a, b = fresh(Point2(coord(), coord())), fresh(Point2(coord(), coord()))
+            pa, pb = k.vertices[a], k.vertices[b]
+            if shape == "on a line":
+                t = Fraction(rng.randint(-7, 7), rng.choice((1, 2, 3, 7)))
+                c = fresh(Point2(pa.x + t * (pb.x - pa.x), pa.y + t * (pb.y - pa.y)))
+            elif shape == "twin":
+                c = fresh(rng.choice((pa, pb)))
+            else:
+                c = fresh(Point2(coord(), coord()))
+        collinear = cross_value(*(k.vertices[v] for v in (a, b, c))) == 0
+        tid = f"t{case}"
+        try:
+            k.add_triangle(a, b, c, tid)
+        except DegenerateCell as exc:
+            assert collinear and str(exc) == f"triangle {a},{b},{c} is collinear"
+        else:
+            assert not collinear and k.cells[tid].kind is CellKind.TRIANGLE
+        seen[collinear] += 1
+    assert min(seen.values()) >= 300, seen
 
 
 def test_single_vertex_complex_is_valid():

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -22,6 +23,8 @@ from ribbonkit.errors import (
 )
 from ribbonkit.geometry import Point2, ScaledLoop
 from ribbonkit.svgrender import render_svg
+
+from helpers import reference_parse_rational
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_STEMS = (
@@ -68,6 +71,92 @@ def test_parse_rational_canonical_forms():
         assert str(info.value) == f"$.x: {message}"
     with pytest.raises(SchemaViolation):
         parse_rational(True, "$")
+
+
+def _rational_inputs(rng: Random):
+    """Strings and values a document may hold where a rational goes,
+    canonical or not."""
+    def digits(k):
+        return str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k - 1))
+
+    def small():
+        return str(rng.randint(0, 10 ** rng.randint(1, 12)))
+
+    for _ in range(260):
+        n, d = small(), str(rng.randint(2, 10 ** rng.randint(1, 12)))
+        sign = rng.choice(("", "-"))
+        yield sign + n                                # canonical integer, or -0
+        yield f"{sign}{n}/{d}"                        # canonical iff coprime; 0/d never
+        yield f"{sign}{'0' * rng.randint(1, 3)}{n}"   # leading zeros
+        yield f"{sign}{n}/0{d}"                       # a leading zero below
+        yield f"{sign}{n}/1"
+        k = rng.randint(2, 30)
+        yield f"{sign}{int(n) * k}/{int(d) * k}"     # reducible
+        yield f"{sign}{n}/{rng.choice(('0', '00'))}"  # zero denominator
+        yield rng.choice(("+", " ", "")) + n + rng.choice((" ", "\n", "e3", "E-2", ".0", ".5", "/ 2", "//2"))
+    for k in (4299, 4300, 4301, 4400):
+        yield digits(k)
+        yield "-" + digits(k)
+        yield f"{digits(k)}/7"
+        yield f"1/{digits(k)}"
+        yield "0" * k
+    for special in ("", "-", "/", "3/", "/3", "--3", "3/-4", "0", "-0", "0/1", "-0/7", "1/1", "0/0",
+                    "\u0661\u0662", "1_000", "1e3", "0x10", "inf", "nan", "1/2/3"):
+        yield special
+    yield from (True, False, None, [1], {"x": 1}, (1, 2))
+    for _ in range(120):
+        yield rng.randint(-(10 ** 30), 10 ** 30)
+        yield rng.randint(-4, 4) / rng.choice((1, 2, 4, 8, 1024))  # exact floats
+        yield rng.uniform(-100, 100)                                # inexact floats
+    yield from (0.0, -0.0, 1e300, 5e-324, float("inf"), float("nan"), 2.0 ** 60)
+
+
+def test_parse_rational_matches_reference():
+    seen = {"value": 0, "NonCanonicalRational": 0, "SchemaViolation": 0}
+    for raw in _rational_inputs(Random(2024)):
+        try:
+            want = reference_parse_rational(raw, "$.p[0]")
+        except SchemaViolation as exc:
+            with pytest.raises(type(exc)) as info:
+                parse_rational(raw, "$.p[0]")
+            assert type(info.value) is type(exc) and str(info.value) == str(exc), repr(raw)
+            seen[type(exc).__name__] += 1
+        else:
+            got = parse_rational(raw, "$.p[0]")
+            assert type(got) is Fraction and got == want, repr(raw)
+            seen["value"] += 1
+    assert sum(seen.values()) >= 2000
+    assert seen["value"] >= 500 and seen["NonCanonicalRational"] >= 500 and seen["SchemaViolation"] == 6, seen
+
+
+@pytest.mark.parametrize("node, message", (
+    ("12", "$.complexes.K.vertices.b: expected an array"),
+    ({"1": "2"}, "$.complexes.K.vertices.b: expected an array"),
+    (["1", "2", "0"], "$.complexes.K.vertices.b: a point is a [x, y] pair"),
+    ([["1"], "2"], "$.complexes.K.vertices.b[0]: expected a rational, got list"),
+    (["2", "02"], "$.complexes.K.vertices.b[1]: '02' is not canonical (expected '2')"),
+))
+def test_malformed_point_after_its_coordinates_were_read(node, message):
+    # Vertex a reads "1" and "2" first, so a lookup of b's parts could hit.
+    payload = {"format_version": 1, "complexes": {"K": {"vertices": {"a": ["1", "2"], "b": node}}}}
+    with pytest.raises(SchemaViolation) as info:
+        parse_document(json.dumps(payload))
+    assert str(info.value) == message
+
+
+def test_boolean_coordinate_is_rejected_after_equal_numbers():
+    # True == 1 == 1.0 and they hash alike: a memo keyed on raw values
+    # would hand the boolean the value read for 1.
+    for first in ([1, 0], [1.0, 0], ["1", "0"]):
+        payload = _doc_dict()
+        payload["complexes"]["K"]["vertices"] = {"a": first, "b": [1, 0], "c": [1.0, 0], "d": [True, 0]}
+        del payload["complexes"]["K"]["cycles"], payload["complexes"]["K"]["edges"]
+        with pytest.raises(SchemaViolation) as info:
+            parse_document(json.dumps(payload))
+        assert str(info.value) == "$.complexes.K.vertices.d[0]: expected a rational, got a boolean"
+        payload["complexes"]["K"]["vertices"]["d"] = ["1", "0"]
+        doc = parse_document(json.dumps(payload))
+        assert set(doc.complexes["K"].vertices.values()) == {Point2(1, 0)}
 
 
 def _doc_dict():
@@ -266,7 +355,7 @@ RECTS = (
 def _count_loop_builds(monkeypatch) -> list:
     builds = []
     init = ScaledLoop.__init__
-    monkeypatch.setattr(ScaledLoop, "__init__", lambda self, pts: builds.append(1) or init(self, pts))
+    monkeypatch.setattr(ScaledLoop, "__init__", lambda self, *args: builds.append(1) or init(self, *args))
     return builds
 
 

@@ -12,10 +12,12 @@ from helpers import (
     on_segment,
     random_slanted_family,
     reference_lattice_row_runs,
+    reference_scaled_loop,
     reference_segment_intersection,
     reference_simple_polygon,
 )
 
+from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import NonSimplePolygon, TooFewVertices
 from ribbonkit.geometry import (
     Lattice,
@@ -23,6 +25,7 @@ from ribbonkit.geometry import (
     Point2,
     PointLocation,
     ScaledLoop,
+    as_lattice_point,
     bounding_box,
     cross_value,
     lattice_meetings,
@@ -39,9 +42,44 @@ from ribbonkit.geometry import (
     simple_polygon,
     to_fraction,
 )
+from ribbonkit.ribbons import FilledCycle
 
 SQUARE = [point(0, 0), point(3, 0), point(3, 3), point(0, 3)]
 BOWTIE = [point(0, 0), point(2, 2), point(2, 0), point(0, 2)]
+
+
+def test_scaled_loop_matches_fraction_rescale():
+    # A loop built from its points, from their lattice points, or through a
+    # complex's stored integers has the den, xs, ys and ring of the rescale
+    # from Fraction coordinates, at denominators 1, 2, 3 and 7 alone and mixed,
+    # and with numerators or denominators at a 10**12 scale.
+    rng = Random(2401)
+    seen = Counter()
+    for case in range(400):
+        scale = rng.choice((1, 1, 10 ** 12, Fraction(1, 10 ** 12)))
+        dens = rng.choice(((1,), (2,), (3,), (7,), (1, 2, 3, 7)))
+        n = rng.randint(3, 9)
+        pts = [
+            Point2(Fraction(rng.randint(-20, 20), rng.choice(dens)) * scale,
+                   Fraction(rng.randint(-20, 20), rng.choice(dens)) * scale)
+            for _ in range(n)
+        ]
+        if rng.random() < 0.2:
+            pts[rng.randrange(n)] = pts[0]  # twin points; a loop need not be simple
+        want = reference_scaled_loop(pts)
+        k = CellComplex()
+        for i, p in enumerate(pts):
+            k.add_vertex(f"v{i}", p)
+        for loop in (
+            ScaledLoop(pts),
+            ScaledLoop(iter(pts), [as_lattice_point(p) for p in pts]),
+            FilledCycle(k, [f"v{i}" for i in range(n)]).shape,
+        ):
+            assert (loop.den, loop.xs, loop.ys, loop.ring) == want, pts
+            assert loop.points == tuple(pts)
+        seen[want[0] > 10 ** 12] += 1
+        seen["flat x" if any(g[0] == g[2] for g in want[3]) else "slanted"] += 1
+    assert min(seen.values()) >= 60, seen
 
 
 def test_to_fraction_accepts_exact_forms():

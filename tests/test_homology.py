@@ -377,6 +377,61 @@ def test_rasterize_matches_per_pixel_reference():
     assert len(kinds) == 7
 
 
+def test_rasterize_frame_check_matches_reference():
+    # Frames with corners at denominators 1, 2, 3 and 7 around random
+    # triangles and annuli whose vertices fall inside, on or just outside
+    # each side: the same FrameTooSmall text for the same first vertex,
+    # or the same raster.
+    rng = Random(2403)
+    outcomes = {"raster": 0, "raises": 0}
+
+    def coord(lo, hi):
+        if rng.random() < 0.4:  # on a side, or a little off it
+            return rng.choice((lo, hi)) + Fraction(rng.choice((-1, 0, 0, 1)), rng.choice((1, 3, 7, 21)))
+        return lo + (hi - lo) * Fraction(rng.randint(0, 6), 6)
+
+    for _ in range(300):
+        x0, y0 = (Fraction(rng.randint(-8, 0), rng.choice((1, 2, 3, 7))) for _ in range(2))
+        x1, y1 = x0 + rng.randint(1, 3), y0 + rng.randint(1, 3)
+        regions = []
+        for k in range(rng.randint(1, 3)):
+            loop = tuple(Point2(coord(x0, x1), coord(y0, y1)) for _ in range(3))
+            if cross_value(*loop) == 0:
+                continue
+            excluded = ()
+            if rng.random() < 0.3:  # a hole whose vertices the check reads too
+                cx, cy = (sum(c) / 3 for c in zip(*((p.x, p.y) for p in loop)))
+                excluded = ((Point2(cx, cy), Point2(cx + Fraction(1, 50), cy), Point2(cx, cy + Fraction(1, 50))),)
+            regions.append(Region(loops=(loop,), excluded=excluded))
+        frame, res = Frame(Point2(x0, y0), Point2(x1, y1)), rng.choice((4, 6))
+        try:
+            want = reference_rasterize(regions, frame, res)
+        except FrameTooSmall as exc:
+            with pytest.raises(FrameTooSmall) as info:
+                rasterize(regions, frame, res)
+            assert str(info.value) == str(exc)
+            outcomes["raises"] += 1
+        else:
+            assert rasterize(regions, frame, res).rows == want.rows
+            outcomes["raster"] += 1
+    assert min(outcomes.values()) >= 60, outcomes
+    # Corners whose denominators the loops lack: lo.y = 1/3 is off the loops'
+    # lattice, which puts the top edge y = 2 a third of a unit below a row of
+    # pixel centres, and with x = 1 the frame's upper bound is 30 * 100/101 =
+    # 29.7 units, between two lattice columns.
+    frame = Frame(Point2(0, Fraction(1, 3)), Point2(Fraction(100, 101), 3))
+    for x in (Fraction(1, 2), Fraction(1)):
+        regions = [Region(loops=((Point2(0, 2), Point2(x, 2), Point2(0, 1)),))]
+        try:
+            want = reference_rasterize(regions, frame, 5)
+        except FrameTooSmall as exc:
+            with pytest.raises(FrameTooSmall) as info:
+                rasterize(regions, frame, 5)
+            assert str(info.value) == str(exc) and x == 1
+        else:
+            assert rasterize(regions, frame, 5).rows == want.rows and x < 1
+
+
 def _random_bitmaps():
     rng = Random(4041)
     frame = _frame(0, 0, 4, 4)

@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -349,6 +350,32 @@ def _nudged_pair(rng, outer, inner):
         m = nudged_map(rng, q)
         pair.append(make_filled_cycle(k, [k.add_vertex(v, m(p)) for v, p in zip(cycle.loop, cycle.points)]))
     return (*pair, pair[0].shape.den != pair[1].shape.den)
+
+
+def test_is_nested_on_the_lcm_of_two_lattices():
+    # Each loop's denominator divides the other's or neither does, so the
+    # first inner vertex is rescaled by a factor above 1 in some cases.
+    squares = {
+        "thirds": (Fraction(10, 3), Fraction(40, 3)),
+        "units": (5, 8),
+        "wide units": (0, 20),
+        "sevenths": (Fraction(36, 7), Fraction(62, 7)),
+        "halves": (Fraction(7, 2), Fraction(19, 2)),
+    }
+    seen = set()
+    for (oname, (o0, o1)), (iname, (i0, i1)) in combinations(squares.items(), 2):
+        for (outer_box, inner_box) in (((o0, o1), (i0, i1)), ((i0, i1), (o0, o1))):
+            k = CellComplex(f"{oname}/{iname}")
+            cycles = []
+            for tag, (a, b) in (("o", outer_box), ("i", inner_box)):
+                corners = ((a, a), (b, a), (b, b), (a, b))
+                ids = [k.add_vertex(f"{tag}{n}", point(x, y)) for n, (x, y) in enumerate(corners)]
+                cycles.append(make_filled_cycle(k, ids, tag))
+            outer, inner = cycles
+            want = reference_is_nested(inner, outer)
+            assert is_nested(inner, outer) is want, (outer_box, inner_box)
+            seen.add((want, inner.shape.den < outer.shape.den, outer.shape.den % inner.shape.den == 0))
+    assert {(True, True, True), (True, False, False), (False, True, True)} <= seen, seen
 
 
 def test_is_nested_matches_unpruned_reference():
