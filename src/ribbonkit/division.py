@@ -10,20 +10,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain
 from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
 from .geometry import (
-    Lattice,
     Point2,
+    PointLocation,
     bounding_box,
+    frame_lattice,
+    lattice_location,
+    lattice_point,
     lattice_row_runs,
     loop_segments,
     segment_point_distance_sq,
     to_fraction,
 )
-from .ribbons import Ribbon, RibbonMembership
+from .ribbons import Ribbon
 
 
 class RegionLabel(Enum):
@@ -73,23 +75,12 @@ def _require_frame(r: Ribbon, f: Frame) -> None:
             raise FrameTooSmall(f"frame does not strictly contain outer vertex {p}")
 
 
-_LABEL_OF = {
-    RibbonMembership.ON_INNER_BOUNDARY: RegionLabel.PI3_INNER,
-    RibbonMembership.IN_REMOVED_INTERIOR: RegionLabel.PI3_INNER,
-    RibbonMembership.ON_OUTER_BOUNDARY: RegionLabel.PI2_ANNULUS,
-    RibbonMembership.IN_RIBBON: RegionLabel.PI2_ANNULUS,
-    RibbonMembership.OUTSIDE: RegionLabel.PI1_OUTSIDE,
-}
-
 # The label by the loops a point is in or on: bit 1 the outer, bit 2 the inner.
 _LABEL_OF_MASK = (
     RegionLabel.PI1_OUTSIDE, RegionLabel.PI2_ANNULUS, RegionLabel.PI3_INNER, RegionLabel.PI3_INNER
 )
-
-
-def _label(r: Ribbon, p: Point2) -> RegionLabel:
-    """The region label of ``p``, for a frame already checked to hold ``r``."""
-    return _LABEL_OF[r.membership(p)]
+# The loops of each label's boundary, by the same bits; the outside's has the frame border too.
+_BOUNDARY_BITS = {RegionLabel.PI1_OUTSIDE: 1, RegionLabel.PI2_ANNULUS: 3, RegionLabel.PI3_INNER: 2}
 
 
 def classify_region(r: Ribbon, f: Frame, p: Point2) -> RegionLabel:
@@ -97,7 +88,8 @@ def classify_region(r: Ribbon, f: Frame, p: Point2) -> RegionLabel:
     _require_frame(r, f)
     if not f.contains(p):
         raise PointOutsideFrame(f"{p} lies outside the frame")
-    return _label(r, p)
+    mask = sum(bit for bit, c in ((1, r.outer), (2, r.inner)) if c.locate(p) is not PointLocation.OUTSIDE)
+    return _LABEL_OF_MASK[mask]
 
 
 @dataclass(frozen=True)
@@ -133,18 +125,6 @@ class PartitionReport:
         return out
 
 
-def _on_any(x: int, y: int, segments) -> bool:
-    """``(x, y)`` lies on one of the closed segments ``((x1, y1), (x2, y2))``."""
-    for (x1, y1), (x2, y2) in segments:
-        if (
-            min(x1, x2) <= x <= max(x1, x2)
-            and min(y1, y2) <= y <= max(y1, y2)
-            and (x2 - x1) * (y - y1) == (y2 - y1) * (x - x1)
-        ):
-            return True
-    return False
-
-
 def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     """Classify a rational lattice plus loop vertices and edge midpoints.
 
@@ -155,80 +135,90 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     sample whose exact clearance to the label's boundary set is strictly
     positive, with that clearance.
 
-    The frame and the loops are scaled once to integers, so lattice point
-    ``(i, j)`` sits at ``origin + (i, j) * step``; :func:`lattice_row_runs`
-    gives each stretch of a lattice row the loops it is in or on, and
-    those decide its label as :func:`_label` decides a point's.
+    The frame and the loops are scaled once to integers by
+    :func:`frame_lattice`, so lattice point ``(i, j)`` sits at
+    ``origin + (i, j) * step``; :func:`lattice_row_runs` gives each stretch
+    of a lattice row the loops it is in or on, and
+    :func:`lattice_location` gives them for each loop sample.  Those bits
+    decide a sample's label, and whether it lies on its label's boundary.
     """
     if grid_density < 1:
         raise ValueError("grid density must be at least 1")
     _require_frame(r, f)
     d = grid_density
-    loops = (r.outer.points, r.inner.points)
     # An even multiple of the lcm of the denominators, so edge midpoints are integers too.
-    lattice = Lattice((f.hi, *loops[0], *loops[1]), f.lo, 2 * max(d - 1, 1))
-    scaled, unscaled, s = lattice.ints, lattice.point, lattice.s
-    width, height = scaled(f.hi)
+    s, (width, height), loops = frame_lattice(f.lo, f.hi, (r.outer.shape, r.inner.shape), 2 * max(d - 1, 1))
     if d == 1:
         origin, step = (width // 2, height // 2), (width, height)
     else:
         origin, step = (0, 0), (width // (d - 1), height // (d - 1))
     (ox, oy), (sx, sy) = origin, step
-    outer, inner = ([scaled(p) for p in loop] for loop in loops)
 
-    # runs[label] lists the lattice stretches (j, first, last) in sample order.
-    runs: Dict[RegionLabel, List[Tuple[int, int, int]]] = {lab: [] for lab in RegionLabel}
+    # samples[label] lists stretches (y, first x, last x, on) in sample order:
+    # the lattice's, every sx apart, then each loop sample as its own.
+    samples: Dict[RegionLabel, List[Tuple[int, int, int, int]]] = {lab: [] for lab in RegionLabel}
+    of_mask = [samples[lab] for lab in _LABEL_OF_MASK]  # a label's list, by the mask
     # A ribbon built without make_ribbon may have an inner loop that leaves
     # the frame; the stretches are clipped to the lattice.
-    stretches = lattice_row_runs((outer, inner), origin, step, (d, d))
+    stretches = lattice_row_runs(loops, origin, step, (d, d))
     for j in range(d):
+        y = oy + j * sy
         for first, last, inside, on in stretches.get(j, ((0, d - 1, 0, 0),)):
-            runs[_LABEL_OF_MASK[inside | on]].append((j, first, last))
+            of_mask[inside | on].append((y, ox + first * sx, ox + last * sx, on))
 
+    coords = [tuple(zip(*loop)) for loop in loops]  # each loop's (xs, ys)
     loop_samples = []
-    for loop in (outer, inner):
+    for loop in loops:
         loop_samples += loop
         loop_samples += [((ax + bx) // 2, (ay + by) // 2) for (ax, ay), (bx, by) in loop_segments(loop)]
-    loop_points = [unscaled(x, y) for x, y in loop_samples]
-    tail: Dict[RegionLabel, List[Tuple[int, int]]] = {lab: [] for lab in RegionLabel}
-    for p, q in zip(loop_points, loop_samples):
-        tail[_label(r, p)].append(q)
+    for x, y in loop_samples:
+        inside = on = 0
+        for bit, (xs, ys) in zip((1, 2), coords):
+            where = lattice_location(xs, ys, x, y, 1)
+            if where is PointLocation.ON_BOUNDARY:
+                on |= bit
+            elif where is PointLocation.INSIDE:
+                inside |= bit
+        of_mask[inside | on].append((y, x, x, on))
 
-    border = loop_segments([scaled(c) for c in f.corners()])
+    lx, ly = lattice_point(f.lo, s)
+    border = loop_segments([(0, 0), (width, 0), (width, height), (0, height)])
     boundaries = {
-        RegionLabel.PI1_OUTSIDE: loop_segments(outer) + border,
-        RegionLabel.PI2_ANNULUS: loop_segments(outer) + loop_segments(inner),
-        RegionLabel.PI3_INNER: loop_segments(inner),
+        RegionLabel.PI1_OUTSIDE: loop_segments(loops[0]) + border,
+        RegionLabel.PI2_ANNULUS: loop_segments(loops[0]) + loop_segments(loops[1]),
+        RegionLabel.PI3_INNER: loop_segments(loops[1]),
     }
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
-        segs = boundaries[lab]
-        samples = (
-            (x, oy + j * sy)
-            for j, first, last in runs[lab]
-            for x in range(ox + first * sx, ox + last * sx + 1, sx)
+        bits, framed = _BOUNDARY_BITS[lab], lab is RegionLabel.PI1_OUTSIDE
+        # A sample's clearance is 0 exactly when it lies on its label's boundary;
+        # the outside's samples all lie on the lattice, so in the frame.
+        q = next(
+            (
+                (x, y)
+                for y, first, last, on in samples[lab]
+                if not on & bits
+                for x in range(first, last + 1, sx)
+                if not (framed and (x in (0, width) or y in (0, height)))
+            ),
+            None,
         )
-        # A sample's clearance is 0 exactly when it lies on a boundary segment.
-        q = next((q for q in chain(samples, tail[lab]) if not _on_any(*q, segs)), None)
-        if q is None:
-            witnesses[lab.value] = None
-            continue
-        clearance = min(
-            segment_point_distance_sq(Point2(*q), Point2(*a), Point2(*b)) for a, b in segs
-        )
-        witnesses[lab.value] = (unscaled(*q), Fraction(clearance, s * s))
+        if q is not None:
+            clearance = min(
+                segment_point_distance_sq(Point2(*q), Point2(*a), Point2(*b)) for a, b in boundaries[lab]
+            )
+            q = (Point2(Fraction(q[0] + lx, s), Fraction(q[1] + ly, s)), Fraction(clearance, s * s))
+        witnesses[lab.value] = q
     counts = {
-        lab.value: sum(last - first + 1 for _, first, last in runs[lab]) + len(tail[lab])
-        for lab in RegionLabel
+        lab.value: sum((last - first) // sx + 1 for _, first, last, _ in samples[lab]) for lab in RegionLabel
     }
-    # The lattice is monotone between its extreme corners.
-    corners = (unscaled(ox, oy), unscaled(ox + (d - 1) * sx, oy + (d - 1) * sy))
     return PartitionReport(
         grid_density=d,
         total_points=d * d + len(loop_samples),
         label_counts=counts,
         each_point_single_label=True,  # each sample gets exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
-        bounded=all(f.contains(p) for p in corners + tuple(loop_points)),
+        # The lattice spans the frame, so only a loop sample can leave it.
+        bounded=all(0 <= x <= width and 0 <= y <= height for x, y in loop_samples),
         witnesses=witnesses,
     )

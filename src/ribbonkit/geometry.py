@@ -20,7 +20,9 @@ RationalLike = Union[int, str, float, Fraction]
 def to_fraction(value: RationalLike) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts ints, Fractions and strings such as ``"3/4"`` or ``"-2"``.
+    Accepts ints, Fractions and strings such as ``"3/4"`` or ``"-2"``, but
+    no string with an exponent, whose size grows tenfold per unit of it:
+    ``"1e2000000"`` is an integer of two million digits.
     Floats are accepted only when they denote an exact decimal (``0.25``
     yes, ``0.1`` no), so a lossy binary artefact can never silently leak
     into exact predicates.
@@ -30,6 +32,8 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if "e" in value or "E" in value:
+            raise ValueError(f"{value[:20]!r} has an exponent; write the rational out")
         return Fraction(value)
     if isinstance(value, float):
         if not isfinite(value) or Fraction(value) != Fraction(str(value)):
@@ -213,29 +217,6 @@ def boxes_meet(a, b) -> bool:
     return a[0] <= b[2] and b[0] <= a[2] and a[1] <= b[3] and b[1] <= a[3]
 
 
-class Lattice:
-    """Exact rescale of rational points to an integer lattice.
-
-    ``s`` is ``factor`` times the lcm of the coordinate denominators of
-    ``points`` and ``origin``, so :meth:`ints` maps each of those points
-    ``p`` to ``(p - origin) * s`` as a pair of ``int``; :meth:`point` is
-    its exact inverse.
-    """
-
-    __slots__ = ("s", "ox", "oy")
-
-    def __init__(self, points: Iterable[Point2], origin: Point2 = Point2(0, 0), factor: int = 1):
-        self.s = s = factor * lcm(*(c.denominator for p in (origin, *points) for c in (p.x, p.y)))
-        self.ox, self.oy = lattice_point(origin, s)
-
-    def ints(self, p: Point2) -> Tuple[int, int]:
-        x, y = lattice_point(p, self.s)
-        return (x - self.ox, y - self.oy)
-
-    def point(self, x, y) -> Point2:
-        return Point2(Fraction(x + self.ox, self.s), Fraction(y + self.oy, self.s))
-
-
 class ScaledLoop:
     """Closed loop of three or more vertices, built once for every check on it.
 
@@ -299,6 +280,25 @@ def lattice_location(xs: List[int], ys: List[int], x: int, y: int, d: int) -> Po
             return PointLocation.ON_BOUNDARY
         x1, y1 = x2, y2
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+
+
+def frame_lattice(lo: Point2, hi: Point2, loops: Sequence[ScaledLoop], factor: int):
+    """The integer lattice of the frame ``[lo, hi]`` and of loops in it.
+
+    ``s`` is ``factor`` times the lcm of the corners' denominators and of
+    the loops' :attr:`ScaledLoop.den`, so the frame's size ``(W, H)`` and
+    each loop vertex ``p`` rescaled to ``(p - lo) * s`` are integers.
+    Returns ``(s, (W, H), loops)``, each loop a list of ``(x, y)`` pairs.
+    """
+    s = factor * lcm(lo.x.denominator, lo.y.denominator, hi.x.denominator, hi.y.denominator,
+                     *(loop.den for loop in loops))
+    ox, oy = lattice_point(lo, s)
+    hx, hy = lattice_point(hi, s)
+    scaled = []
+    for loop in loops:
+        k = s // loop.den
+        scaled.append([(x * k - ox, y * k - oy) for x, y in zip(loop.xs, loop.ys)])
+    return s, (hx - ox, hy - oy), scaled
 
 
 def as_scaled_loop(loop: Sequence[Point2]) -> ScaledLoop:

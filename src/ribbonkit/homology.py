@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, lcm
+from math import ceil
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .division import Frame
@@ -22,7 +22,7 @@ from .errors import (
 from .geometry import (
     Point2,
     as_scaled_loop,
-    lattice_point,
+    frame_lattice,
     lattice_row_runs,
     segment_segment_distance_sq,
     simple_polygon,
@@ -151,18 +151,13 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
     height = ceil((hi.y - lo.y) * resolution)
     row_runs: List[List[Run]] = [[] for _ in range(height)]
     for r in regions:
-        # X = (x - lo.x) * s with s = 2 * resolution * den, den the lcm of the loops'
-        # and lo's denominators, puts the centre of pixel (i, j) at (2i + 1) * den.
+        # X = (x - lo.x) * s with s = 2 * resolution * den, den the lcm of the frame's
+        # and the loops' denominators, puts the centre of pixel (i, j) at (2i + 1) * den.
         every = r.loops + r.excluded
-        den = lcm(lo.x.denominator, lo.y.denominator, *(loop.den for loop in every))
-        s = 2 * resolution * den
-        ox, oy = lattice_point(lo, s)
-        wx, wy = floor(hi.x * s) - ox, floor(hi.y * s) - oy  # X <= wx iff x <= hi.x
-        loops = []
-        for loop in every:
-            k = s // loop.den
-            loops.append([(x * k - ox, y * k - oy) for x, y in zip(loop.xs, loop.ys)])
-            for p, (x, y) in zip(loop.points, loops[-1]):
+        s, (wx, wy), loops = frame_lattice(lo, hi, every, 2 * resolution)
+        den = s // (2 * resolution)
+        for loop, scaled in zip(every, loops):
+            for p, (x, y) in zip(loop.points, scaled):
                 if not (0 <= x <= wx and 0 <= y <= wy):
                     raise FrameTooSmall(f"region vertex {p} falls outside the frame")
         stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))

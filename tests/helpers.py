@@ -11,6 +11,7 @@ import re
 from collections import deque
 from fractions import Fraction
 from itertools import chain, combinations, groupby
+from math import lcm
 from operator import itemgetter
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -28,7 +29,6 @@ from ribbonkit.division import (
     Frame,
     PartitionReport,
     RegionLabel,
-    _label,
     _require_frame,
 )
 from ribbonkit.document import _quoted, format_rational
@@ -39,7 +39,6 @@ from ribbonkit.errors import (
     SchemaViolation,
 )
 from ribbonkit.geometry import (
-    Lattice,
     Point2,
     PointLocation,
     _lattice_key,
@@ -61,6 +60,7 @@ from ribbonkit.ribbons import (
     FilledCycle,
     Hole,
     Ribbon,
+    RibbonMembership,
     make_filled_cycle,
     make_ribbon,
 )
@@ -994,6 +994,15 @@ def _boundary_sets(r: Ribbon, f: Frame):
     }
 
 
+_REFERENCE_LABEL_OF = {
+    RibbonMembership.ON_INNER_BOUNDARY: RegionLabel.PI3_INNER,
+    RibbonMembership.IN_REMOVED_INTERIOR: RegionLabel.PI3_INNER,
+    RibbonMembership.ON_OUTER_BOUNDARY: RegionLabel.PI2_ANNULUS,
+    RibbonMembership.IN_RIBBON: RegionLabel.PI2_ANNULUS,
+    RibbonMembership.OUTSIDE: RegionLabel.PI1_OUTSIDE,
+}
+
+
 def reference_verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     """Classify a rational lattice plus loop vertices and edge midpoints.
 
@@ -1007,7 +1016,7 @@ def reference_verify_partition(r: Ribbon, f: Frame, grid_density: int) -> Partit
     samples = _sample_points(r, f, grid_density)
     labelled: Dict[RegionLabel, List[Point2]] = {lab: [] for lab in RegionLabel}
     for p in samples:  # every sample lies in the frame
-        labelled[_label(r, p)].append(p)
+        labelled[_REFERENCE_LABEL_OF[r.membership(p)]].append(p)
     boundaries = _boundary_sets(r, f)
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
@@ -1025,7 +1034,7 @@ def reference_verify_partition(r: Ribbon, f: Frame, grid_density: int) -> Partit
         grid_density=grid_density,
         total_points=len(samples),
         label_counts=counts,
-        each_point_single_label=True,  # _label returns exactly one label
+        each_point_single_label=True,  # each membership has exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
         bounded=all(f.contains(p) for p in samples),
         witnesses=witnesses,
@@ -1067,7 +1076,7 @@ def reference_parse_rational(raw, path: str) -> Fraction:
 def reference_scaled_loop(points: Sequence[Point2]):
     """``(den, xs, ys, ring)`` of a loop rescaled from its Fraction
     coordinates, with each segment's box from ``min`` and ``max``."""
-    den = Lattice(points).s
+    den = lcm(*(c.denominator for p in points for c in (p.x, p.y)))
     xs = [p.x.numerator * (den // p.x.denominator) for p in points]
     ys = [p.y.numerator * (den // p.y.denominator) for p in points]
     ring = [

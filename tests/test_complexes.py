@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 import pytest
@@ -18,12 +19,12 @@ from ribbonkit.complexes import (
 )
 from ribbonkit.errors import DegenerateCell, UnknownCellId
 from ribbonkit.geometry import (
-    Lattice,
     Orientation,
     Point2,
     PointLocation,
     bounding_box,
     cross_value,
+    lattice_point,
     orientation,
     point,
     point_in_polygon,
@@ -355,9 +356,8 @@ def _touching_on_bucket_boundary() -> CellComplex:
 
 def test_touching_boxes_case_sits_on_a_bucket_boundary():
     k = _touching_on_bucket_boundary()
-    lattice = Lattice(k.vertices.values())
-    scale = lattice.s
-    coords = {vid: Point2(*lattice.ints(p)) for vid, p in k.vertices.items()}
+    scale = lcm(*(c.denominator for p in k.vertices.values() for c in (p.x, p.y)))
+    coords = {vid: Point2(*lattice_point(p, scale)) for vid, p in k.vertices.items()}
     boxes = [bounding_box(_Shape(cell.vertex_ids, [coords[v] for v in cell.vertex_ids]).hull)
              for cell in k.cells.values()]
     grid = _Buckets(boxes)

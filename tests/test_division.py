@@ -5,7 +5,7 @@ import pytest
 
 from helpers import add_rect_loop, random_rect_ribbon, reference_verify_partition, translate_ribbon
 
-from ribbonkit import gallery
+from ribbonkit import division, gallery
 from ribbonkit.complexes import CellComplex
 from ribbonkit.division import (
     Frame,
@@ -15,7 +15,7 @@ from ribbonkit.division import (
     verify_partition,
 )
 from ribbonkit.errors import FrameTooSmall, PointOutsideFrame, RibbonError
-from ribbonkit.geometry import Point2, ScaledLoop, loop_segments, point
+from ribbonkit.geometry import Point2, loop_segments, point
 from ribbonkit.ribbons import Ribbon, make_filled_cycle, make_ribbon
 
 
@@ -74,10 +74,10 @@ def test_verify_partition_on_gallery_ring():
 
 def test_verify_partition_classifies_only_loop_samples(monkeypatch):
     # The row scan labels the lattice, so only the loop vertices and edge
-    # midpoints are classified, however dense the lattice.
+    # midpoints are located, however dense the lattice.
     calls = []
-    classify = ScaledLoop.classify
-    monkeypatch.setattr(ScaledLoop, "classify", lambda s, p: calls.append(p) or classify(s, p))
+    locate = division.lattice_location
+    monkeypatch.setattr(division, "lattice_location", lambda *a: calls.append(a) or locate(*a))
     r, f = _ring_and_frame()
     counts = []
     for d in (15, 120):
@@ -234,6 +234,32 @@ def _partition_cases():
         r = Ribbon(outer=outer, inner=make_filled_cycle(k, add_rect_loop(k, f"i{n}", *corners)))
         for d in (1, 2, 5, 11, 40):
             yield r, frame_around(r, 1), d
+    # built without make_ribbon: a thin inner loop across the outer loop's right
+    # side, with vertices, then an edge midpoint, on the frame's border x = 5.
+    # No row of the lattice at d = 4 passes strictly inside it, so the first
+    # inner sample off the inner loop is the outer loop's midpoint (4, 2).
+    for n, x1 in enumerate((5, 7)):
+        inner = make_filled_cycle(k, add_rect_loop(k, f"t{n}", 3, Fraction(7, 4), x1, Fraction(9, 4)))
+        r = Ribbon(outer=outer, inner=inner)
+        for d in (1, 2, 4, 5, 11):
+            yield r, frame_around(r, 1), d
+
+
+def _loop_samples(r):
+    """The vertices and edge midpoints of both loops, as the partition samples them."""
+    for loop in (r.outer.points, r.inner.points):
+        yield from loop
+        yield from (Point2((a.x + b.x) / 2, (a.y + b.y) / 2) for a, b in loop_segments(loop))
+
+
+def _on_lattice(f, d, p):
+    """``p`` is a point of the partition's d x d lattice on the frame."""
+    if d == 1:
+        return p == Point2((f.lo.x + f.hi.x) / 2, (f.lo.y + f.hi.y) / 2)
+    return all(
+        (i := (c - lo) * (d - 1) / (hi - lo)).denominator == 1 and 0 <= i < d
+        for c, lo, hi in ((p.x, f.lo.x, f.hi.x), (p.y, f.lo.y, f.hi.y))
+    )
 
 
 def test_verify_partition_matches_reference():
@@ -246,7 +272,11 @@ def test_verify_partition_matches_reference():
         kinds.add(want.ok)
         for w in want.witnesses.values():
             kinds.add("witness" if w is not None else "none")
-    assert kinds == {True, False, "witness", "none"}
+            if w is not None and not _on_lattice(f, d, w[0]):
+                kinds.add("loop sample witness")
+        if any(f.contains(p) and not f.strictly_contains(p) for p in _loop_samples(r)):
+            kinds.add("loop sample on the border")
+    assert kinds == {True, False, "witness", "none", "loop sample witness", "loop sample on the border"}
 
 
 def test_frame_around_takes_exact_margins_only():

@@ -266,6 +266,11 @@ def test_cli_near_and_validate(capsys):
     assert main(["near", demo, "--a", "ring", "--b", "upper", "--probes", "b2_holes", "--th", "1"]) == 0
     assert "near=false distance_sq=1" in capsys.readouterr().out
     assert main(["validate", demo]) == 0
+    capsys.readouterr()
+    # A threshold with an exponent is refused before it is read.
+    assert main(["near", demo, "--a", "ring", "--b", "lower", "--probes", "b1_cycles", "--th", "1e3"]) == 4
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "exponent" in err["message"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):

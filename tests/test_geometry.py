@@ -1,5 +1,5 @@
 from collections import Counter
-from itertools import combinations
+from itertools import chain, combinations
 from fractions import Fraction
 from math import lcm
 from random import Random
@@ -20,7 +20,6 @@ from helpers import (
 from ribbonkit.complexes import CellComplex
 from ribbonkit.errors import NonSimplePolygon, TooFewVertices
 from ribbonkit.geometry import (
-    Lattice,
     Orientation,
     Point2,
     PointLocation,
@@ -28,6 +27,7 @@ from ribbonkit.geometry import (
     as_lattice_point,
     bounding_box,
     cross_value,
+    frame_lattice,
     lattice_meetings,
     lattice_point,
     lattice_ring,
@@ -87,6 +87,14 @@ def test_to_fraction_accepts_exact_forms():
     assert to_fraction("3/4") == Fraction(3, 4)
     assert to_fraction(0.25) == Fraction(1, 4)
     assert to_fraction(Fraction(7, 2)) == Fraction(7, 2)
+
+
+def test_to_fraction_rejects_exponents():
+    # Fraction would read "1e2000000" as an integer of two million digits.
+    for text in ("1e400", "1E400", "2.5e-3", "1e2000000"):
+        with pytest.raises(ValueError):
+            to_fraction(text)
+    assert to_fraction(1e20) == 10**20  # a float, whose repr "1e+20" has one
 
 
 def test_to_fraction_rejects_inexact_float():
@@ -341,7 +349,7 @@ def test_scaled_loop_classify_keeps_no_stale_rescale():
     assert seen == set(PointLocation)
 
 
-def test_lattice_round_trips_points():
+def test_frame_lattice_scales_frame_and_loops():
     rng = Random(53)
 
     def rational():
@@ -349,18 +357,21 @@ def test_lattice_round_trips_points():
 
     for factor in (1, 2, 2 * 120):
         for _ in range(60):
-            pts = [Point2(rational(), rational()) for _ in range(rng.randint(1, 5))]
-            pts.append(point(rng.randint(-9, 9), rng.randint(-9, 9)))
-            pts.append(Point2(rng.randint(-9, 9), rng.randint(-9, 9)))
-            origin = Point2(rational(), Fraction(rng.randint(1, 99), rng.randint(2, 60)))
-            lattice = Lattice(pts, origin, factor)
-            dens = [c.denominator for p in (origin, *pts) for c in (p.x, p.y)]
-            assert lattice.s == factor * lcm(*dens)
-            for p in (origin, *pts):
-                x, y = lattice.ints(p)
-                assert type(x) is int and type(y) is int
-                assert (x, y) == ((p.x - origin.x) * lattice.s, (p.y - origin.y) * lattice.s)
-                assert lattice.point(x, y) == p
+            lo = Point2(rational(), Fraction(rng.randint(1, 99), rng.randint(2, 60)))
+            hi = Point2(lo.x + abs(rational()) + 1, lo.y + Fraction(rng.randint(1, 99), rng.randint(1, 7)))
+            loops = []
+            for _ in range(rng.randint(1, 3)):
+                pts = [Point2(rational(), rational()) for _ in range(rng.randint(1, 5))]
+                pts.append(point(rng.randint(-9, 9), rng.randint(-9, 9)))
+                pts.append(Point2(rng.randint(-9, 9), rng.randint(-9, 9)))
+                loops.append(ScaledLoop(pts))
+            s, size, scaled = frame_lattice(lo, hi, loops, factor)
+            dens = [c.denominator for p in (lo, hi, *chain(*loops)) for c in (p.x, p.y)]
+            assert s == factor * lcm(*dens)
+            for p, q in ((hi, size), *((p, q) for loop, ints in zip(loops, scaled) for p, q in zip(loop, ints))):
+                assert type(q[0]) is int and type(q[1]) is int
+                assert q == ((p.x - lo.x) * s, (p.y - lo.y) * s)
+            assert [len(ints) for ints in scaled] == [len(loop) for loop in loops]
 
 
 def test_lattice_row_runs_contract():
