@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .errors import FrameTooSmall, PointOutsideFrame
 from .geometry import (
+    MAX_LATTICE_ROWS,
     Point2,
     PointLocation,
     bounding_box,
@@ -144,6 +145,8 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     """
     if grid_density < 1:
         raise ValueError("grid density must be at least 1")
+    if grid_density > MAX_LATTICE_ROWS:
+        raise ValueError(f"grid density {grid_density} exceeds the limit of {MAX_LATTICE_ROWS}")
     _require_frame(r, f)
     d = grid_density
     # An even multiple of the lcm of the denominators, so edge midpoints are integers too.

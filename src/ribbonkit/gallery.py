@@ -1,56 +1,28 @@
 """Built-in sample structures used by tests, docs and the CLI demos.
 
-Every builder returns freshly constructed objects on an exact rational
-grid, so callers may mutate complexes without affecting later calls.
+Each sample is a canonical ``.rcx`` document shipped in ``samples/``.  Every
+function parses its document afresh, so callers may mutate what they get
+without affecting later calls.
 """
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from importlib.resources import files
+from typing import Dict, NamedTuple
 
 from .complexes import CellComplex
-from .document import ComplexDocument
+from .document import ComplexDocument, parse_document
 from .geometry import Point2, point
-from .ribbons import (
-    Filament,
-    FilledCycle,
-    Ribbon,
-    RibbonComplex,
-    VortexNerve,
-    make_filled_cycle,
-    make_ribbon,
+from .ribbons import Filament, FilledCycle, Ribbon, RibbonComplex, VortexNerve
+
+# The order of sample_documents(): callers pick its ribbons by position.
+_STEMS = (
+    "two_hole_ribbon", "shared_vertex_pair", "triple_vortex", "five_ribbon_complex",
+    "filament_ribbon", "nerve_space_pair", "proximity_demo",
 )
 
-Coord = Tuple[str, str]
 
-_DECAGON_OUTER: List[Coord] = [
-    ("0", "0"), ("1", "1/2"), ("2", "0"), ("3", "1/2"), ("3", "3/2"),
-    ("2", "2"), ("1", "3/2"), ("0", "2"), ("-1", "3/2"), ("-1", "1/2"),
-]
-
-
-def _add_loop(
-    k: CellComplex,
-    prefix: str,
-    coords: Sequence[Coord],
-    shared: Optional[Dict[Point2, str]] = None,
-) -> List[str]:
-    """Add loop vertices, reusing ids for coordinates seen before."""
-    ids = []
-    for i, (x, y) in enumerate(coords):
-        p = point(x, y)
-        if shared is not None and p in shared:
-            ids.append(shared[p])
-            continue
-        vid = k.add_vertex(f"{prefix}{i}", p)
-        if shared is not None:
-            shared[p] = vid
-        ids.append(vid)
-    return ids
-
-
-def _markers(coords: Sequence[Coord]) -> List[Point2]:
-    return [point(x, y) for x, y in coords]
+def _load(stem: str) -> ComplexDocument:
+    return parse_document((files(__package__) / "samples" / f"{stem}.rcx").read_text(encoding="utf-8"))
 
 
 class TwoHoleRibbon(NamedTuple):
@@ -62,25 +34,8 @@ class TwoHoleRibbon(NamedTuple):
 
 def two_hole_ribbon() -> TwoHoleRibbon:
     """One ribbon on a pair of ten-vertex nesting loops with two hole markers."""
-    k = CellComplex("K")
-    outer_ids = _add_loop(k, "o", _DECAGON_OUTER)
-    inner_ids = _add_loop(
-        k,
-        "i",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "3/4"),
-            ("2", "27/20"), ("1", "5/4"), ("0", "3/2"), ("-11/20", "5/4"), ("-11/20", "3/4"),
-        ],
-    )
-    outer = make_filled_cycle(k, outer_ids, "outer")
-    inner = make_filled_cycle(k, inner_ids, "inner")
-    ribbon = make_ribbon(
-        outer,
-        inner,
-        holes=_markers([("-4/5", "21/20"), ("14/5", "11/20")]),
-        label="ring",
-    )
-    return TwoHoleRibbon(k, outer, inner, ribbon)
+    doc = _load("two_hole_ribbon")
+    return TwoHoleRibbon(doc.complexes["K"], doc.cycles["outer"], doc.cycles["inner"], doc.ribbons["ring"])
 
 
 class SharedVertexPair(NamedTuple):
@@ -96,50 +51,10 @@ def shared_vertex_pair() -> SharedVertexPair:
 
     The lower ribbon carries two hole markers, the upper one three.
     """
-    k = CellComplex("Kp")
-    shared: Dict[Point2, str] = {}
-    lower_outer_ids = _add_loop(k, "lo", _DECAGON_OUTER, shared)
-    lower_inner_ids = _add_loop(
-        k,
-        "li",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "5/4"),
-            ("2", "31/20"), ("1", "5/4"), ("0", "3/2"), ("-11/20", "5/4"), ("-11/20", "3/4"),
-        ],
-        shared,
+    doc = _load("shared_vertex_pair")
+    return SharedVertexPair(
+        doc.complexes["Kp"], doc.ribbons["lower"], doc.ribbons["upper"], doc.ribbon_complexes["pair"], point(2, 2)
     )
-    upper_outer_ids = _add_loop(
-        k,
-        "uo",
-        [
-            ("2", "2"), ("1", "9/4"), ("1", "71/20"), ("9/4", "77/20"),
-            ("7/2", "13/4"), ("7/2", "9/4"),
-        ],
-        shared,
-    )
-    upper_inner_ids = _add_loop(
-        k,
-        "ui",
-        [
-            ("2", "9/4"), ("5/4", "5/2"), ("5/4", "3"), ("9/4", "13/4"),
-            ("13/4", "3"), ("13/4", "47/20"),
-        ],
-        shared,
-    )
-    lower = make_ribbon(
-        make_filled_cycle(k, lower_outer_ids, "lower_outer"),
-        make_filled_cycle(k, lower_inner_ids, "lower_inner"),
-        holes=_markers([("-4/5", "21/20"), ("14/5", "17/20")]),
-        label="lower",
-    )
-    upper = make_ribbon(
-        make_filled_cycle(k, upper_outer_ids, "upper_outer"),
-        make_filled_cycle(k, upper_inner_ids, "upper_inner"),
-        holes=_markers([("23/10", "341/100"), ("5/2", "361/100"), ("14/5", "331/100")]),
-        label="upper",
-    )
-    rbx = RibbonComplex((lower, upper), label="pair")
-    return SharedVertexPair(k, lower, upper, rbx, point(2, 2))
 
 
 class TripleVortex(NamedTuple):
@@ -149,42 +64,8 @@ class TripleVortex(NamedTuple):
 
 def triple_vortex() -> TripleVortex:
     """A vortex nerve of three nesting ten-vertex cycles, innermost first."""
-    k = CellComplex("Kv")
-    inner_ids = _add_loop(
-        k,
-        "g",
-        [
-            ("0", "7/20"), ("1", "17/20"), ("2", "7/20"), ("23/10", "13/20"),
-            ("23/10", "17/20"), ("2", "21/20"), ("1", "23/20"), ("0", "5/4"),
-            ("-7/20", "1"), ("-7/20", "3/4"),
-        ],
-    )
-    middle_ids = _add_loop(
-        k,
-        "m",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "1"),
-            ("2", "27/20"), ("1", "31/20"), ("0", "37/20"), ("-11/20", "5/4"),
-            ("-11/20", "3/4"),
-        ],
-    )
-    outer_ids = _add_loop(
-        k,
-        "b",
-        [
-            ("0", "0"), ("1", "1/2"), ("2", "0"), ("3", "1/2"), ("3", "9/5"),
-            ("2", "2"), ("1", "5/2"), ("0", "9/4"), ("-1", "3/2"), ("-1", "1/2"),
-        ],
-    )
-    nerve = VortexNerve(
-        cycles=(
-            make_filled_cycle(k, inner_ids, "inner"),
-            make_filled_cycle(k, middle_ids, "middle"),
-            make_filled_cycle(k, outer_ids, "outer"),
-        ),
-        label="vortex",
-    )
-    return TripleVortex(k, nerve)
+    doc = _load("triple_vortex")
+    return TripleVortex(doc.complexes["Kv"], doc.vortex_nerves["vortex"])
 
 
 class FiveRibbonComplex(NamedTuple):
@@ -194,120 +75,11 @@ class FiveRibbonComplex(NamedTuple):
     junction: Point2
 
 
-def _meeting_trio(k: CellComplex, shared: Dict[Point2, str]) -> Dict[str, Ribbon]:
-    """Three ribbons sharing the single vertex (2, 2): bottom, left, upper."""
-    bottom_outer = _add_loop(k, "bo", _DECAGON_OUTER, shared)
-    bottom_inner = _add_loop(
-        k,
-        "bi",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "5/4"),
-            ("2", "31/20"), ("1", "5/4"), ("0", "3/2"), ("-11/20", "5/4"), ("-11/20", "3/4"),
-        ],
-        shared,
-    )
-    left_outer = _add_loop(
-        k,
-        "po",
-        [
-            ("2", "2"), ("1", "2"), ("0", "3"), ("-1/5", "13/4"), ("-1", "13/4"),
-            ("-1", "9/4"), ("0", "43/20"), ("1", "7/4"),
-        ],
-        shared,
-    )
-    left_inner = _add_loop(
-        k,
-        "pi",
-        [
-            ("-17/20", "11/4"), ("-17/20", "47/20"), ("0", "47/20"),
-            ("1/4", "43/20"), ("1/4", "49/20"),
-        ],
-        shared,
-    )
-    upper_outer = _add_loop(
-        k,
-        "uo",
-        [
-            ("2", "2"), ("1", "9/4"), ("1", "71/20"), ("9/4", "77/20"),
-            ("7/2", "13/4"), ("7/2", "9/4"),
-        ],
-        shared,
-    )
-    upper_inner = _add_loop(
-        k,
-        "ui",
-        [
-            ("2", "9/4"), ("5/4", "5/2"), ("5/4", "3"), ("9/4", "13/4"),
-            ("13/4", "3"), ("13/4", "47/20"),
-        ],
-        shared,
-    )
-    return {
-        "bottom": make_ribbon(
-            make_filled_cycle(k, bottom_outer, "bottom_outer"),
-            make_filled_cycle(k, bottom_inner, "bottom_inner"),
-            holes=_markers([("-4/5", "21/20"), ("14/5", "17/20"), ("14/5", "6/5")]),
-            label="bottom",
-        ),
-        "left": make_ribbon(
-            make_filled_cycle(k, left_outer, "left_outer"),
-            make_filled_cycle(k, left_inner, "left_inner"),
-            label="left",
-        ),
-        "upper": make_ribbon(
-            make_filled_cycle(k, upper_outer, "upper_outer"),
-            make_filled_cycle(k, upper_inner, "upper_inner"),
-            holes=_markers([("23/10", "341/100"), ("5/2", "361/100"), ("14/5", "331/100")]),
-            label="upper",
-        ),
-    }
-
-
 def five_ribbon_complex() -> FiveRibbonComplex:
     """Five ribbons: three meet in one vertex, two sit apart on the right."""
-    k = CellComplex("Kx")
-    shared: Dict[Point2, str] = {}
-    ribbons = _meeting_trio(k, shared)
-    right_outer = _add_loop(
-        k,
-        "ro",
-        [("6", "7/4"), ("6", "2"), ("5", "13/4"), ("9/2", "13/4"), ("9/2", "7/4")],
-        shared,
-    )
-    right_inner = _add_loop(
-        k,
-        "ri",
-        [("23/4", "2"), ("5", "11/4"), ("19/4", "11/4"), ("19/4", "2")],
-        shared,
-    )
-    low_outer = _add_loop(
-        k,
-        "wo",
-        [("7", "1/4"), ("7", "5/4"), ("4", "5/4"), ("4", "1/4")],
-        shared,
-    )
-    low_inner = _add_loop(
-        k,
-        "wi",
-        [
-            ("13/2", "7/20"), ("25/4", "1"), ("11/2", "3/4"), ("9/2", "1"),
-            ("9/2", "7/20"), ("11/2", "9/20"),
-        ],
-        shared,
-    )
-    ribbons["right"] = make_ribbon(
-        make_filled_cycle(k, right_outer, "right_outer"),
-        make_filled_cycle(k, right_inner, "right_inner"),
-        label="right",
-    )
-    ribbons["lower_right"] = make_ribbon(
-        make_filled_cycle(k, low_outer, "low_outer"),
-        make_filled_cycle(k, low_inner, "low_inner"),
-        label="lower_right",
-    )
-    order = ("bottom", "left", "upper", "right", "lower_right")
-    rbx = RibbonComplex(tuple(ribbons[name] for name in order), label="five")
-    return FiveRibbonComplex(k, ribbons, rbx, point(2, 2))
+    doc = _load("five_ribbon_complex")
+    rbx = doc.ribbon_complexes["five"]
+    return FiveRibbonComplex(doc.complexes["Kx"], {r.label: r for r in rbx.ribbons}, rbx, point(2, 2))
 
 
 class FilamentRibbon(NamedTuple):
@@ -324,28 +96,10 @@ def filament_ribbon() -> FilamentRibbon:
     The filament joins the outer vertex at (1, 1/2) to the inner vertex at
     (1, 3/4); the inner endpoint is the ribbon's declared fixed point.
     """
-    k = CellComplex("Kf")
-    outer_ids = _add_loop(k, "o", _DECAGON_OUTER)
-    inner_ids = _add_loop(
-        k,
-        "i",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "1"),
-            ("2", "27/20"), ("1", "5/4"), ("0", "3/2"), ("-11/20", "5/4"), ("-11/20", "3/4"),
-        ],
-    )
-    outer = make_filled_cycle(k, outer_ids, "outer")
-    inner = make_filled_cycle(k, inner_ids, "inner")
-    fil = Filament(outer_vertex=outer_ids[1], inner_vertex=inner_ids[1])
-    ribbon = make_ribbon(
-        outer,
-        inner,
-        filaments=(fil,),
-        holes=_markers([("-4/5", "13/10"), ("-4/5", "4/5"), ("0", "9/5")]),
-        label="ring",
-        fixed_vertex=inner_ids[1],
-    )
-    return FilamentRibbon(k, ribbon, fil, outer_ids[1], inner_ids[1])
+    doc = _load("filament_ribbon")
+    ribbon = doc.ribbons["ring"]
+    fil = ribbon.filaments[0]
+    return FilamentRibbon(doc.complexes["Kf"], ribbon, fil, fil.outer_vertex, fil.inner_vertex)
 
 
 class NerveSpace(NamedTuple):
@@ -364,144 +118,13 @@ def nerve_space_pair() -> NerveSpacePair:
     The left space holds three ribbons meeting in one vertex; the right
     space holds two ribbons sharing a boundary edge.
     """
-    kl = CellComplex("Kl")
-    ribbons = _meeting_trio(kl, {})
-    left = NerveSpace(
-        kl,
-        RibbonComplex(
-            (ribbons["bottom"], ribbons["left"], ribbons["upper"]), label="left_group"
-        ),
+    doc = _load("nerve_space_pair")
+    return NerveSpacePair(
+        NerveSpace(doc.complexes["Kl"], doc.ribbon_complexes["left_group"]),
+        NerveSpace(doc.complexes["Kr"], doc.ribbon_complexes["right_group"]),
     )
-
-    kr = CellComplex("Kr")
-    shared: Dict[Point2, str] = {}
-    base_outer = _add_loop(
-        kr,
-        "ao",
-        [
-            ("0", "0"), ("1", "1/2"), ("2", "0"), ("3", "1/2"), ("3", "3/2"),
-            ("2", "2"), ("1", "3/2"), ("0", "2"), ("-1", "13/10"), ("-1", "1/2"),
-        ],
-        shared,
-    )
-    base_inner = _add_loop(
-        kr,
-        "ai",
-        [
-            ("0", "1/4"), ("1", "3/4"), ("2", "1/4"), ("5/2", "1/2"), ("5/2", "5/4"),
-            ("2", "31/20"), ("1", "21/20"), ("0", "3/2"), ("-11/20", "5/4"),
-            ("-11/20", "3/4"),
-        ],
-        shared,
-    )
-    top_outer = _add_loop(
-        kr,
-        "to",
-        [
-            ("2", "2"), ("1", "3/2"), ("1", "71/20"), ("9/4", "77/20"),
-            ("7/2", "13/4"), ("7/2", "9/4"),
-        ],
-        shared,
-    )
-    top_inner = _add_loop(
-        kr,
-        "ti",
-        [
-            ("2", "9/4"), ("5/4", "5/2"), ("5/4", "3"), ("9/4", "13/4"),
-            ("13/4", "3"), ("13/4", "47/20"),
-        ],
-        shared,
-    )
-    base = make_ribbon(
-        make_filled_cycle(kr, base_outer, "base_outer"),
-        make_filled_cycle(kr, base_inner, "base_inner"),
-        holes=_markers([("-4/5", "21/20"), ("14/5", "17/20"), ("14/5", "6/5")]),
-        label="base",
-    )
-    top = make_ribbon(
-        make_filled_cycle(kr, top_outer, "top_outer"),
-        make_filled_cycle(kr, top_inner, "top_inner"),
-        holes=_markers([("23/10", "341/100"), ("5/2", "361/100"), ("14/5", "331/100")]),
-        label="top",
-    )
-    right = NerveSpace(kr, RibbonComplex((base, top), label="right_group"))
-    return NerveSpacePair(left, right)
-
-
-def _document_for(complexes, cycles, ribbons, ribbon_complexes=(), vortex_nerves=()):
-    doc = ComplexDocument()
-    for k in complexes:
-        doc.complexes[k.name] = k
-    for c in cycles:
-        doc.cycles[c.label] = c
-    for r in ribbons:
-        doc.ribbons[r.label] = r
-    for x in ribbon_complexes:
-        doc.ribbon_complexes[x.label] = x
-    for v in vortex_nerves:
-        doc.vortex_nerves[v.label] = v
-    return doc
 
 
 def sample_documents() -> Dict[str, ComplexDocument]:
-    """Documents for every gallery structure, keyed by file stem."""
-    docs = {}
-
-    th = two_hole_ribbon()
-    docs["two_hole_ribbon"] = _document_for(
-        [th.complex], [th.outer, th.inner], [th.ribbon]
-    )
-
-    sv = shared_vertex_pair()
-    docs["shared_vertex_pair"] = _document_for(
-        [sv.complex],
-        [sv.lower.outer, sv.lower.inner, sv.upper.outer, sv.upper.inner],
-        [sv.lower, sv.upper],
-        [sv.rbx],
-    )
-
-    tv = triple_vortex()
-    docs["triple_vortex"] = _document_for(
-        [tv.complex], list(tv.nerve.cycles), [], vortex_nerves=[tv.nerve]
-    )
-
-    fv = five_ribbon_complex()
-    cycles = []
-    for r in fv.rbx.ribbons:
-        cycles.extend((r.outer, r.inner))
-    docs["five_ribbon_complex"] = _document_for(
-        [fv.complex], cycles, list(fv.rbx.ribbons), [fv.rbx]
-    )
-
-    fr = filament_ribbon()
-    docs["filament_ribbon"] = _document_for(
-        [fr.complex], [fr.ribbon.outer, fr.ribbon.inner], [fr.ribbon]
-    )
-
-    pair = nerve_space_pair()
-    cycles = []
-    ribbons = []
-    for space in (pair.left, pair.right):
-        for r in space.rbx.ribbons:
-            cycles.extend((r.outer, r.inner))
-            ribbons.append(r)
-    docs["nerve_space_pair"] = _document_for(
-        [pair.left.complex, pair.right.complex],
-        cycles,
-        ribbons,
-        [pair.left.rbx, pair.right.rbx],
-    )
-
-    # proximity demo: the two-hole ribbon plus the shared-vertex pair in one file
-    th2 = two_hole_ribbon()
-    sv2 = shared_vertex_pair()
-    demo = _document_for(
-        [th2.complex, sv2.complex],
-        [th2.outer, th2.inner, sv2.lower.outer, sv2.lower.inner, sv2.upper.outer, sv2.upper.inner],
-        [th2.ribbon, sv2.lower, sv2.upper],
-        [sv2.rbx],
-    )
-    demo.probes = ("b1_cycles",)
-    demo.threshold = Fraction(1)
-    docs["proximity_demo"] = demo
-    return docs
+    """Every packaged sample document, keyed by file stem."""
+    return {stem: _load(stem) for stem in _STEMS}

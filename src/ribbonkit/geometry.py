@@ -316,6 +316,11 @@ def _lattice_key(value: int, origin: int, step: int) -> int:
     return 2 * q + (2 if rem else 1)
 
 
+# Most rows a raster or a partition lattice may have: each row costs a
+# list, so a larger request is refused before one is made.
+MAX_LATTICE_ROWS = 2**20
+
+
 def lattice_row_runs(
     loops: Iterable[Sequence[Tuple[int, int]]],
     origin: Tuple[int, int],

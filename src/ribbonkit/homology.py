@@ -20,6 +20,7 @@ from .errors import (
     NonConvexRegion,
 )
 from .geometry import (
+    MAX_LATTICE_ROWS,
     Point2,
     as_scaled_loop,
     frame_lattice,
@@ -149,6 +150,8 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
     lo, hi = frame.lo, frame.hi
     width = ceil((hi.x - lo.x) * resolution)
     height = ceil((hi.y - lo.y) * resolution)
+    if height > MAX_LATTICE_ROWS:
+        raise ValueError(f"raster of {height} rows exceeds the limit of {MAX_LATTICE_ROWS}")
     row_runs: List[List[Run]] = [[] for _ in range(height)]
     for r in regions:
         # X = (x - lo.x) * s with s = 2 * resolution * den, den the lcm of the frame's

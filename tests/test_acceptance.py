@@ -18,7 +18,7 @@ from ribbonkit.nerves import Region, ribbon_nerve
 from ribbonkit.proximity import check_axioms, dx_intersection, dx_near
 from ribbonkit.ribbons import ribbon_nerves_of_vortex_nerve, ribbons_of_vortex_nerve
 
-GOLDEN = Path(__file__).parent / "golden"
+SAMPLES = Path(gallery.__file__).parent / "samples"
 
 
 def _report(n, name, started, budget=None):
@@ -187,21 +187,17 @@ def test_criterion_7_formula_consistency():
 
 def test_criterion_8_io_round_trip_and_cli(capsys, tmp_path):
     started = time.monotonic()
-    for stem in (
-        "two_hole_ribbon",
-        "shared_vertex_pair",
-        "triple_vortex",
-        "five_ribbon_complex",
-        "filament_ribbon",
-    ):
-        text = (GOLDEN / f"{stem}.rcx").read_text(encoding="utf-8")
+    samples = sorted(SAMPLES.glob("*.rcx"))
+    assert len(samples) == 7
+    for path in samples:
+        text = path.read_text(encoding="utf-8")
         assert serialize_document(parse_document(text)) == text
 
-    golden = str(GOLDEN / "filament_ribbon.rcx")
-    assert main(["betti", golden, "--target", "ring"]) == 0
+    sample = str(SAMPLES / "filament_ribbon.rcx")
+    assert main(["betti", sample, "--target", "ring"]) == 0
     first = capsys.readouterr().out
-    assert main(["betti", golden, "--target", "ring"]) == 0
+    assert main(["betti", sample, "--target", "ring"]) == 0
     second = capsys.readouterr().out
     assert first == second and "betti_rb=6" in first
     capsys.disabled()
-    _report(8, "golden round trips and CLI determinism", started)
+    _report(8, "sample round trips and CLI determinism", started)

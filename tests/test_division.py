@@ -221,7 +221,7 @@ def _partition_cases():
         for d in (1, 2, 3, 13):
             yield r, frame_around(r, 2), d
         yield r, frame_around(r, Fraction(1, 3)), 31
-        if n % 6 == 0:  # the CLI test runs every golden ribbon at 120
+        if n % 6 == 0:  # the CLI test runs every sample ribbon at 120
             yield r, frame_around(r, 2), 120
     # an asymmetric frame with rational corners
     r = gallery.two_hole_ribbon().ribbon

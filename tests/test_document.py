@@ -21,33 +21,45 @@ from ribbonkit.errors import (
     UnknownTarget,
     UnresolvedReference,
 )
-from ribbonkit.geometry import Point2, ScaledLoop
+from ribbonkit.geometry import MAX_LATTICE_ROWS, Point2, ScaledLoop, point
+from ribbonkit.ribbons import Filament, make_filled_cycle, make_ribbon
 from ribbonkit.svgrender import render_svg
 
 from helpers import reference_parse_rational
 
-GOLDEN = Path(__file__).parent / "golden"
-GOLDEN_STEMS = (
-    "two_hole_ribbon",
-    "shared_vertex_pair",
-    "triple_vortex",
-    "five_ribbon_complex",
-    "filament_ribbon",
-)
+SAMPLES = Path(gallery.__file__).parent / "samples"
+SAMPLE_STEMS = sorted(p.stem for p in SAMPLES.glob("*.rcx"))
 
 
-@pytest.mark.parametrize("stem", GOLDEN_STEMS)
+@pytest.mark.parametrize("stem", SAMPLE_STEMS)
 def test_golden_round_trip_byte_identity(stem):
-    text = (GOLDEN / f"{stem}.rcx").read_text(encoding="utf-8")
+    text = (SAMPLES / f"{stem}.rcx").read_text(encoding="utf-8")
     doc = parse_document(text)
     assert serialize_document(doc) == text
 
 
-def test_golden_files_match_gallery():
-    docs = gallery.sample_documents()
-    for stem in GOLDEN_STEMS:
-        expected = serialize_document(docs[stem])
-        assert (GOLDEN / f"{stem}.rcx").read_text(encoding="utf-8") == expected
+def test_constructive_api_rebuilds_filament_sample():
+    """Vertices, two filled cycles, a filament, hole markers and a fixed
+    vertex built through the API serialize to the packaged sample's bytes."""
+    k = CellComplex("Kf")
+    loops = (
+        ("o", "outer", "0 0, 1 1/2, 2 0, 3 1/2, 3 3/2, 2 2, 1 3/2, 0 2, -1 3/2, -1 1/2"),
+        ("i", "inner", "0 1/4, 1 3/4, 2 1/4, 5/2 1/2, 5/2 1, 2 27/20, 1 5/4, 0 3/2, -11/20 5/4, -11/20 3/4"),
+    )
+    cycles = {}
+    for prefix, name, coords in loops:
+        ids = [k.add_vertex(f"{prefix}{i}", point(*xy.split())) for i, xy in enumerate(coords.split(", "))]
+        cycles[name] = make_filled_cycle(k, ids, name)
+    ring = make_ribbon(
+        cycles["outer"],
+        cycles["inner"],
+        filaments=(Filament("o1", "i1"),),
+        holes=[point("-4/5", "13/10"), point("-4/5", "4/5"), point("0", "9/5")],
+        label="ring",
+        fixed_vertex="i1",
+    )
+    doc = ComplexDocument(complexes={"Kf": k}, cycles=cycles, ribbons={"ring": ring})
+    assert serialize_document(doc) == (SAMPLES / "filament_ribbon.rcx").read_text(encoding="utf-8")
 
 
 def test_parse_rational_canonical_forms():
@@ -237,7 +249,7 @@ def test_threshold_and_probes_validation():
 
 
 def test_render_deterministic_and_structured():
-    text = (GOLDEN / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
+    text = (SAMPLES / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
     doc1 = parse_document(text)
     doc2 = parse_document(text)
     svg1 = render_svg(doc1, "ring")
@@ -250,17 +262,17 @@ def test_render_deterministic_and_structured():
 
 
 def test_cli_round_trip_outputs(capsys, tmp_path):
-    golden = str(GOLDEN / "filament_ribbon.rcx")
-    assert main(["betti", golden, "--target", "ring"]) == 0
+    sample = str(SAMPLES / "filament_ribbon.rcx")
+    assert main(["betti", sample, "--target", "ring"]) == 0
     out1 = capsys.readouterr().out
     assert "betti_rb=6" in out1
-    assert main(["betti", golden, "--target", "ring"]) == 0
+    assert main(["betti", sample, "--target", "ring"]) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2  # determinism across invocations
 
 
 def test_cli_near_and_validate(capsys):
-    demo = str(GOLDEN / "proximity_demo.rcx")
+    demo = str(SAMPLES / "proximity_demo.rcx")
     assert main(["near", demo, "--a", "ring", "--b", "lower", "--probes", "b1_cycles", "--th", "1"]) == 0
     assert "near=true distance_sq=0" in capsys.readouterr().out
     assert main(["near", demo, "--a", "ring", "--b", "upper", "--probes", "b2_holes", "--th", "1"]) == 0
@@ -284,8 +296,8 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["validate", str(broken)]) == 3
     capsys.readouterr()
 
-    golden = str(GOLDEN / "two_hole_ribbon.rcx")
-    assert main(["betti", golden, "--target", "missing"]) == 4
+    sample = str(SAMPLES / "two_hole_ribbon.rcx")
+    assert main(["betti", sample, "--target", "missing"]) == 4
     capsys.readouterr()
 
 
@@ -323,7 +335,7 @@ _BIG = "1" + "0" * 4999  # past the int-to-string digit limit of Python
     ids=("threshold", "hole", "vertex", "integer_literal", "digit_string"),
 )
 def test_cli_rejects_oversized_numbers(old, new, error, tmp_path, capsys):
-    text = (GOLDEN / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
+    text = (SAMPLES / "two_hole_ribbon.rcx").read_text(encoding="utf-8")
     assert old in text
     path = tmp_path / "big.rcx"
     path.write_text(text.replace(old, new, 1), encoding="utf-8")
@@ -367,7 +379,7 @@ def _count_loop_builds(monkeypatch) -> list:
 # Parsing builds each cycle's ScaledLoop once; the nerve regions and the
 # convexity check reuse it.
 def test_cli_nerve_builds_one_loop_per_cycle(capsys, monkeypatch):
-    five = GOLDEN / "five_ribbon_complex.rcx"
+    five = SAMPLES / "five_ribbon_complex.rcx"
     assert len(parse_document(five.read_text(encoding="utf-8")).cycles) == 10
     builds = _count_loop_builds(monkeypatch)
     assert main(["nerve", str(five)]) == 0
@@ -414,8 +426,8 @@ def test_cli_nervecheck_ring_stdout_is_byte_exact(tmp_path, capsys, resolution):
 
 
 def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):
-    golden = str(GOLDEN / "two_hole_ribbon.rcx")
-    argv = ["divide", golden, "--target", "ring", "--grid", "15"]
+    sample = str(SAMPLES / "two_hole_ribbon.rcx")
+    argv = ["divide", sample, "--target", "ring", "--grid", "15"]
     first = (main(argv), capsys.readouterr().out)
     assert first[0] == 0 and "ok=true" in first[1]
 
@@ -424,33 +436,33 @@ def test_cli_main_reuses_one_parser_across_calls(capsys, monkeypatch):
 
     monkeypatch.setattr(cli, "build_parser", rebuilt)
     with pytest.raises(SystemExit) as exc:
-        main(["divide", golden, "--target", "ring", "--grid", "x"])
+        main(["divide", sample, "--target", "ring", "--grid", "x"])
     assert exc.value.code == 2
     capsys.readouterr()
     assert (main(argv), capsys.readouterr().out) == first
 
 
 def test_cli_render_writes_identical_files(tmp_path, capsys):
-    golden = str(GOLDEN / "five_ribbon_complex.rcx")
+    sample = str(SAMPLES / "five_ribbon_complex.rcx")
     out1 = tmp_path / "a.svg"
     out2 = tmp_path / "b.svg"
-    assert main(["render", golden, "--target", "five", "-o", str(out1)]) == 0
-    assert main(["render", golden, "--target", "five", "-o", str(out2)]) == 0
+    assert main(["render", sample, "--target", "five", "-o", str(out1)]) == 0
+    assert main(["render", sample, "--target", "five", "-o", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_cli_divide_and_nerve(capsys):
-    golden = str(GOLDEN / "two_hole_ribbon.rcx")
-    assert main(["divide", golden, "--target", "ring", "--grid", "15"]) == 0
+    sample = str(SAMPLES / "two_hole_ribbon.rcx")
+    assert main(["divide", sample, "--target", "ring", "--grid", "15"]) == 0
     out = capsys.readouterr().out
     assert "ok=true" in out
-    five = str(GOLDEN / "five_ribbon_complex.rcx")
+    five = str(SAMPLES / "five_ribbon_complex.rcx")
     assert main(["nerve", five]) == 0
     out = capsys.readouterr().out
     assert "{bottom,left,upper}" in out
 
 
-# Exact `ribbonkit nerve` stdout of every golden file holding ribbon complexes.
+# Exact `ribbonkit nerve` stdout of every sample holding ribbon complexes.
 NERVE_STDOUT = {
     "five_ribbon_complex": (
         "five groups: {bottom,left,upper} {right} {lower_right}\n"
@@ -475,12 +487,12 @@ NERVE_STDOUT = {
 
 @pytest.mark.parametrize("stem", sorted(NERVE_STDOUT))
 def test_cli_nerve_stdout_is_byte_exact(stem, capsys):
-    assert main(["nerve", str(GOLDEN / f"{stem}.rcx")]) == 0
+    assert main(["nerve", str(SAMPLES / f"{stem}.rcx")]) == 0
     assert capsys.readouterr().out == NERVE_STDOUT[stem]
 
 
-# Exact `ribbonkit nervecheck` outcome of every golden file, at two
-# resolutions.  Each golden file holds a non-convex cycle (a ribbon's inner
+# Exact `ribbonkit nervecheck` outcome of every sample, at two
+# resolutions.  Each sample holds a non-convex cycle (a ribbon's inner
 # loop), so the check stops there: exit 4, nothing on stdout.
 NERVECHECK_NONCONVEX = {
     "filament_ribbon": "inner",
@@ -496,7 +508,7 @@ NERVECHECK_NONCONVEX = {
 @pytest.mark.parametrize("resolution", (16, 32))
 @pytest.mark.parametrize("stem", sorted(NERVECHECK_NONCONVEX))
 def test_cli_nervecheck_stdout_is_byte_exact(stem, resolution, capsys):
-    path = str(GOLDEN / f"{stem}.rcx")
+    path = str(SAMPLES / f"{stem}.rcx")
     assert main(["nervecheck", path, "--resolution", str(resolution)]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -550,7 +562,7 @@ def _violation_grid(kind: str) -> ComplexDocument:
     return doc
 
 
-# Exact `ribbonkit validate` exit code and stdout of every golden file and
+# Exact `ribbonkit validate` exit code and stdout of every sample and
 # of three grids with injected violations.
 VALIDATE_STDOUT = {
     "filament_ribbon": (0, "complex=Kf cells=41 valid=true\n"),
@@ -589,23 +601,23 @@ def test_cli_validate_stdout_is_byte_exact(stem, tmp_path, capsys):
         path = tmp_path / f"{stem}.rcx"
         path.write_text(serialize_document(_violation_grid(stem[5:])), encoding="utf-8")
     else:
-        path = GOLDEN / f"{stem}.rcx"
-    assert sorted(p.stem for p in GOLDEN.glob("*.rcx")) == sorted(
+        path = SAMPLES / f"{stem}.rcx"
+    assert SAMPLE_STEMS == sorted(
         s for s in VALIDATE_STDOUT if not s.startswith("grid_")
     )
     code = main(["validate", str(path)])
     assert (code, capsys.readouterr().out) == VALIDATE_STDOUT[stem]
 
 
-# Exact `ribbonkit divide` stdout of every ribbon target of the golden
-# files at five grid densities, recorded before the row-scan labelling.
-DIVIDE_STDOUT = json.loads((GOLDEN / "divide_stdout.json").read_text(encoding="utf-8"))
+# Exact `ribbonkit divide` stdout of every ribbon target of the
+# samples at five grid densities, recorded before the row-scan labelling.
+DIVIDE_STDOUT = json.loads((Path(__file__).parent / "golden" / "divide_stdout.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("grid", ("1", "2", "15", "40", "120"))
-@pytest.mark.parametrize("stem", sorted(p.stem for p in GOLDEN.glob("*.rcx")))
+@pytest.mark.parametrize("stem", SAMPLE_STEMS)
 def test_cli_divide_stdout_is_byte_exact(stem, grid, capsys):
-    path = GOLDEN / f"{stem}.rcx"
+    path = SAMPLES / f"{stem}.rcx"
     targets = DIVIDE_STDOUT.get(stem, {})
     assert sorted(targets) == sorted(parse_document(path.read_text(encoding="utf-8")).ribbons)
     for target, by_grid in targets.items():
@@ -619,10 +631,29 @@ def test_cli_divide_stdout_is_byte_exact(stem, grid, capsys):
         (("--target", "ring", "--grid", "0"), ("ValueError", "grid density must be at least 1")),
         (("--target", "inner", "--grid", "15"), ("RibbonError", "target 'inner' is not a ribbon")),
         (("--target", "K", "--grid", "15"), ("RibbonError", "target 'K' is not a ribbon")),
+        (
+            ("--target", "ring", "--grid", str(MAX_LATTICE_ROWS + 1)),
+            ("ValueError", f"grid density {MAX_LATTICE_ROWS + 1} exceeds the limit of {MAX_LATTICE_ROWS}"),
+        ),
     ),
 )
 def test_cli_divide_error_exits(argv, error, capsys):
-    assert main(["divide", str(GOLDEN / "two_hole_ribbon.rcx"), *argv]) == 4
+    assert main(["divide", str(SAMPLES / "two_hole_ribbon.rcx"), *argv]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err) == {"error": error[0], "message": error[1]}
+
+
+# The frame of RECTS is 5 units tall, so this resolution asks for a raster
+# just past the row limit; it is refused before any row is allocated.
+def test_cli_nervecheck_refuses_rows_past_the_limit(tmp_path, capsys):
+    rects = tmp_path / "rects.rcx"
+    rects.write_text(RECTS, encoding="utf-8")
+    resolution = MAX_LATTICE_ROWS // 5 + 1
+    assert main(["nervecheck", str(rects), "--resolution", str(resolution)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {
+        "error": "ValueError",
+        "message": f"raster of {5 * resolution} rows exceeds the limit of {MAX_LATTICE_ROWS}",
+    }

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import sys
 from collections import Counter
 from pathlib import Path
@@ -99,3 +100,52 @@ def test_imports_are_stdlib_only():
         if name not in names
     ]
     assert outside == []
+
+
+# The public API: a name removed or renamed here is a deliberate, reviewed diff.
+PACKAGE_NAMES = """
+AxiomReport BettiTriple Bitmap Cell CellComplex CellKind CellMap ComplexDocument EMPTY Filament
+FilledCycle Frame Hole NerveCheckReport Orientation PartitionReport Point2 PointLocation Probe
+ProbeVector Region RegionLabel Ribbon RibbonComplex RibbonComplexBetti RibbonMembership
+RibbonNerve SimplicialComplex Threshold ValidityReport VortexNerve betti_rb betti_rb_vnrv
+betti_rbnrv betti_rbnrv_vnrv betti_rbx betti_triple boundary check_axioms classify_region
+closure common_witness cubical_betti describe descriptions_match distance_sq dx_intersection
+dx_near dx_near_collection filament_retraction_map fixed_cells frame_around gradient_angle
+interior is_concentric is_nested make_filled_cycle make_ribbon nerve nerve_theorem_check
+orientation parse_document point point_in_polygon probe_registry rasterize render_svg
+ribbon_membership ribbon_nerve ribbon_nerves_of_vortex_nerve ribbons_of_vortex_nerve
+serialize_document simple_polygon to_fraction validate_cw verify_partition z2_betti
+""".split()
+# Parameter (name, kind) pairs, which read the same on every supported Python.
+GALLERY_FUNCTIONS = {
+    name: []
+    for name in (
+        "filament_ribbon", "five_ribbon_complex", "nerve_space_pair", "sample_documents",
+        "shared_vertex_pair", "triple_vortex", "two_hole_ribbon",
+    )
+}
+GALLERY_TUPLES = {
+    "FilamentRibbon": ("complex", "ribbon", "filament", "outer_vertex", "inner_vertex"),
+    "FiveRibbonComplex": ("complex", "ribbons", "rbx", "junction"),
+    "NerveSpace": ("complex", "rbx"),
+    "NerveSpacePair": ("left", "right"),
+    "SharedVertexPair": ("complex", "lower", "upper", "rbx", "junction"),
+    "TripleVortex": ("complex", "nerve"),
+    "TwoHoleRibbon": ("complex", "outer", "inner", "ribbon"),
+}
+
+
+def test_public_api_snapshot():
+    from ribbonkit import gallery
+
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+    assert sorted(imported) == sorted(PACKAGE_NAMES)
+    own = {name: obj for name, obj in vars(gallery).items() if getattr(obj, "__module__", None) == gallery.__name__}
+    functions = {
+        name: [(p.name, p.kind.name) for p in inspect.signature(obj).parameters.values()]
+        for name, obj in own.items()
+        if inspect.isfunction(obj) and not name.startswith("_")
+    }
+    assert functions == GALLERY_FUNCTIONS
+    assert {name: obj._fields for name, obj in own.items() if inspect.isclass(obj)} == GALLERY_TUPLES
