@@ -20,9 +20,8 @@ from .geometry import (
     bounding_box,
     frame_lattice,
     lattice_location,
-    lattice_point,
+    lattice_ring,
     lattice_row_runs,
-    loop_segments,
     segment_point_distance_sq,
     to_fraction,
 )
@@ -150,11 +149,11 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
     _require_frame(r, f)
     d = grid_density
     # An even multiple of the lcm of the denominators, so edge midpoints are integers too.
-    s, (width, height), loops = frame_lattice(f.lo, f.hi, (r.outer.shape, r.inner.shape), 2 * max(d - 1, 1))
+    s, (lx, ly), (hx, hy), loops = frame_lattice(f.lo, f.hi, (r.outer.shape, r.inner.shape), 2 * max(d - 1, 1))
     if d == 1:
-        origin, step = (width // 2, height // 2), (width, height)
+        origin, step = ((lx + hx) // 2, (ly + hy) // 2), (hx - lx, hy - ly)
     else:
-        origin, step = (0, 0), (width // (d - 1), height // (d - 1))
+        origin, step = (lx, ly), ((hx - lx) // (d - 1), (hy - ly) // (d - 1))
     (ox, oy), (sx, sy) = origin, step
 
     # samples[label] lists stretches (y, first x, last x, on) in sample order:
@@ -169,27 +168,25 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
         for first, last, inside, on in stretches.get(j, ((0, d - 1, 0, 0),)):
             of_mask[inside | on].append((y, ox + first * sx, ox + last * sx, on))
 
-    coords = [tuple(zip(*loop)) for loop in loops]  # each loop's (xs, ys)
     loop_samples = []
     for loop in loops:
-        loop_samples += loop
-        loop_samples += [((ax + bx) // 2, (ay + by) // 2) for (ax, ay), (bx, by) in loop_segments(loop)]
+        loop_samples += zip(loop.xs, loop.ys)
+        loop_samples += [((x1 + x2) // 2, (y1 + y2) // 2) for x1, y1, x2, y2, *_ in loop.ring]
     for x, y in loop_samples:
         inside = on = 0
-        for bit, (xs, ys) in zip((1, 2), coords):
-            where = lattice_location(xs, ys, x, y, 1)
+        for bit, loop in zip((1, 2), loops):
+            where = lattice_location(loop, x, y, 1)
             if where is PointLocation.ON_BOUNDARY:
                 on |= bit
             elif where is PointLocation.INSIDE:
                 inside |= bit
         of_mask[inside | on].append((y, x, x, on))
 
-    lx, ly = lattice_point(f.lo, s)
-    border = loop_segments([(0, 0), (width, 0), (width, height), (0, height)])
+    border = lattice_ring((lx, hx, hx, lx), (ly, ly, hy, hy))
     boundaries = {
-        RegionLabel.PI1_OUTSIDE: loop_segments(loops[0]) + border,
-        RegionLabel.PI2_ANNULUS: loop_segments(loops[0]) + loop_segments(loops[1]),
-        RegionLabel.PI3_INNER: loop_segments(loops[1]),
+        RegionLabel.PI1_OUTSIDE: loops[0].ring + border,
+        RegionLabel.PI2_ANNULUS: loops[0].ring + loops[1].ring,
+        RegionLabel.PI3_INNER: loops[1].ring,
     }
     witnesses: Dict[str, Optional[Tuple[Point2, Fraction]]] = {}
     for lab in RegionLabel:
@@ -202,15 +199,15 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
                 for y, first, last, on in samples[lab]
                 if not on & bits
                 for x in range(first, last + 1, sx)
-                if not (framed and (x in (0, width) or y in (0, height)))
+                if not (framed and (x in (lx, hx) or y in (ly, hy)))
             ),
             None,
         )
         if q is not None:
             clearance = min(
-                segment_point_distance_sq(Point2(*q), Point2(*a), Point2(*b)) for a, b in boundaries[lab]
+                segment_point_distance_sq(Point2(*q), Point2(*g[:2]), Point2(*g[2:4])) for g in boundaries[lab]
             )
-            q = (Point2(Fraction(q[0] + lx, s), Fraction(q[1] + ly, s)), Fraction(clearance, s * s))
+            q = (Point2(Fraction(q[0], s), Fraction(q[1], s)), Fraction(clearance, s * s))
         witnesses[lab.value] = q
     counts = {
         lab.value: sum((last - first) // sx + 1 for _, first, last, _ in samples[lab]) for lab in RegionLabel
@@ -222,6 +219,6 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
         each_point_single_label=True,  # each sample gets exactly one label
         all_labels_realized=all(counts[lab.value] > 0 for lab in RegionLabel),
         # The lattice spans the frame, so only a loop sample can leave it.
-        bounded=all(0 <= x <= width and 0 <= y <= height for x, y in loop_samples),
+        bounded=all(lx <= x <= hx and ly <= y <= hy for x, y in loop_samples),
         witnesses=witnesses,
     )

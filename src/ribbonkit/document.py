@@ -196,7 +196,7 @@ def _register(names: set, table: Dict, name: str, obj, path: str) -> None:
 def parse_document(text: str) -> ComplexDocument:
     try:
         root = json.loads(text)
-    except ValueError as exc:  # also an integer literal past the digit limit
+    except (ValueError, RecursionError) as exc:  # an integer past the digit limit, nesting past the recursion limit
         raise SchemaViolation(f"document is not valid JSON: {exc}") from exc
     root = _expect_dict(root, "$")
     _check_keys(root, ("format_version", "complexes", "probes", "threshold"), "$")

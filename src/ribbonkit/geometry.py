@@ -239,10 +239,18 @@ class ScaledLoop:
         self.ys = [y * (s // d) for _, y, d in lattice]
         self.ring = lattice_ring(self.xs, self.ys)
 
-    def ring_at(self, s: int) -> list:
-        """:attr:`ring` on the lattice of scale ``s``, a multiple of ``den``."""
+    def at(self, s: int) -> "ScaledLoop":
+        """This loop on the lattice of scale ``s``, a multiple of ``den``:
+        itself if ``s == den``, else one with the same ``points``, ``den = s``
+        and ``xs``, ``ys`` and ``ring`` times ``s // den``."""
+        if s == self.den:
+            return self
         k = s // self.den
-        return self.ring if k == 1 else [tuple(v * k for v in g) for g in self.ring]
+        loop = object.__new__(ScaledLoop)
+        loop.points, loop.den = self.points, s
+        loop.xs, loop.ys = [x * k for x in self.xs], [y * k for y in self.ys]
+        loop.ring = lattice_ring(loop.xs, loop.ys)
+        return loop
 
     def __len__(self) -> int:
         return len(self.points)
@@ -252,13 +260,14 @@ class ScaledLoop:
 
     def classify(self, p: Point2) -> PointLocation:
         m = lcm(self.den, p.x.denominator, p.y.denominator)
-        return lattice_location(self.xs, self.ys, *lattice_point(p, m), m // self.den)
+        return lattice_location(self, *lattice_point(p, m), m // self.den)
 
 
-def lattice_location(xs: List[int], ys: List[int], x: int, y: int, d: int) -> PointLocation:
-    """Classify the point ``(x / d, y / d)``, ``d > 0``, against the closed
-    loop with the integer vertices ``(xs[i], ys[i])``, by the parity of the
-    loop's crossings of the point's row."""
+def lattice_location(loop: ScaledLoop, x: int, y: int, d: int) -> PointLocation:
+    """Classify the point ``(x / d, y / d)``, ``d > 0``, against the integer
+    vertices of ``loop``, by the parity of the loop's crossings of the
+    point's row."""
+    xs, ys = loop.xs, loop.ys
     if d != 1:
         xs, ys = [v * d for v in xs], [v * d for v in ys]
     inside = False
@@ -286,19 +295,12 @@ def frame_lattice(lo: Point2, hi: Point2, loops: Sequence[ScaledLoop], factor: i
     """The integer lattice of the frame ``[lo, hi]`` and of loops in it.
 
     ``s`` is ``factor`` times the lcm of the corners' denominators and of
-    the loops' :attr:`ScaledLoop.den`, so the frame's size ``(W, H)`` and
-    each loop vertex ``p`` rescaled to ``(p - lo) * s`` are integers.
-    Returns ``(s, (W, H), loops)``, each loop a list of ``(x, y)`` pairs.
+    the loops' :attr:`ScaledLoop.den`.  Returns ``s``, the corners times
+    ``s`` as pairs of ``int``, and each loop :meth:`~ScaledLoop.at` ``s``.
     """
     s = factor * lcm(lo.x.denominator, lo.y.denominator, hi.x.denominator, hi.y.denominator,
                      *(loop.den for loop in loops))
-    ox, oy = lattice_point(lo, s)
-    hx, hy = lattice_point(hi, s)
-    scaled = []
-    for loop in loops:
-        k = s // loop.den
-        scaled.append([(x * k - ox, y * k - oy) for x, y in zip(loop.xs, loop.ys)])
-    return s, (hx - ox, hy - oy), scaled
+    return s, lattice_point(lo, s), lattice_point(hi, s), [loop.at(s) for loop in loops]
 
 
 def as_scaled_loop(loop: Sequence[Point2]) -> ScaledLoop:
@@ -322,7 +324,7 @@ MAX_LATTICE_ROWS = 2**20
 
 
 def lattice_row_runs(
-    loops: Iterable[Sequence[Tuple[int, int]]],
+    loops: Iterable[ScaledLoop],
     origin: Tuple[int, int],
     step: Tuple[int, int],
     shape: Tuple[int, int],
@@ -331,8 +333,8 @@ def lattice_row_runs(
 
     Lattice point ``(i, j)`` sits at ``(ox + i * sx, oy + j * sy)`` for
     ``origin = (ox, oy)``, ``step = (sx, sy)``, ``0 <= i < columns`` and
-    ``0 <= j < rows`` with ``shape = (columns, rows)``; loop vertices are
-    ``(x, y)`` pairs of ``int``.  For each row the closed loops meet,
+    ``0 <= j < rows`` with ``shape = (columns, rows)``, on the loops'
+    integer vertices ``xs``, ``ys``.  For each row the closed loops meet,
     ``runs[j]`` lists closed column stretches ``(first, last, inside, on)``
     covering the row from left to right.  Bit ``b`` of the masks is loop
     ``b``: every point of the stretch lies on that loop if it is set in
@@ -351,7 +353,8 @@ def lattice_row_runs(
     events: List[List[Tuple[int, int, int]]] = [[] for _ in range(rows)]
     for b, loop in enumerate(loops):
         bit = 1 << b
-        for (x1, y1), (x2, y2) in zip(loop, loop[1:] + loop[:1]):
+        xs, ys = loop.xs, loop.ys
+        for x1, y1, x2, y2 in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
             if y1 == y2:
                 row = _lattice_key(y1, oy, sy)
                 if row & 1 and 0 <= row // 2 < rows:

@@ -154,16 +154,15 @@ def rasterize(regions: Sequence[Region], frame: Frame, resolution: int) -> Bitma
         raise ValueError(f"raster of {height} rows exceeds the limit of {MAX_LATTICE_ROWS}")
     row_runs: List[List[Run]] = [[] for _ in range(height)]
     for r in regions:
-        # X = (x - lo.x) * s with s = 2 * resolution * den, den the lcm of the frame's
-        # and the loops' denominators, puts the centre of pixel (i, j) at (2i + 1) * den.
-        every = r.loops + r.excluded
-        s, (wx, wy), loops = frame_lattice(lo, hi, every, 2 * resolution)
+        # X = x * s with s = 2 * resolution * den, den the lcm of the frame's and the
+        # loops' denominators, puts the centre of pixel (i, j) at lo * s + (2i + 1, 2j + 1) * den.
+        s, (lx, ly), (hx, hy), loops = frame_lattice(lo, hi, r.loops + r.excluded, 2 * resolution)
         den = s // (2 * resolution)
-        for loop, scaled in zip(every, loops):
-            for p, (x, y) in zip(loop.points, scaled):
-                if not (0 <= x <= wx and 0 <= y <= wy):
+        for loop in loops:
+            for p, x, y in zip(loop.points, loop.xs, loop.ys):
+                if not (lx <= x <= hx and ly <= y <= hy):
                     raise FrameTooSmall(f"region vertex {p} falls outside the frame")
-        stretches = lattice_row_runs(loops, (den, den), (2 * den, 2 * den), (width, height))
+        stretches = lattice_row_runs(loops, (lx + den, ly + den), (2 * den, 2 * den), (width, height))
         held = (1 << len(r.loops)) - 1  # the loops' bits; the excluded loops' lie above
         for j, row in stretches.items():
             row_runs[j] += [(a, b) for a, b, inside, on in row if (inside | on) & held and inside <= held]

@@ -93,28 +93,22 @@ class Region:
 
 
 class LatticeRegion:
-    """A region on its family's integer lattice: ``loops`` and ``excluded``
-    as ``(xs, ys)`` lists of ``int``, their ``box``, and the segments of
-    each loop in turn (``rings``, each a :meth:`ScaledLoop.ring_at`) and of
-    all (``segments``)."""
+    """A region on its family's integer lattice of scale ``s``: ``loops``
+    and ``excluded`` :meth:`~ScaledLoop.at` ``s``, their ``box``, and the
+    segments of all their rings (``segments``)."""
 
-    __slots__ = ("box", "loops", "excluded", "rings", "segments")
+    __slots__ = ("box", "loops", "excluded", "segments")
 
     def __init__(self, region: Region, s: int):
-        def scaled(loop: ScaledLoop):
-            k = s // loop.den
-            return (loop.xs, loop.ys) if k == 1 else ([x * k for x in loop.xs], [y * k for y in loop.ys])
-
-        self.loops = [scaled(loop) for loop in region.loops]
-        self.excluded = [scaled(loop) for loop in region.excluded]
+        self.loops = [loop.at(s) for loop in region.loops]
+        self.excluded = [loop.at(s) for loop in region.excluded]
         every = self.loops + self.excluded
-        self.rings = [loop.ring_at(s) for loop in region.loops + region.excluded]
-        self.segments = [g for ring in self.rings for g in ring]
+        self.segments = [g for loop in every for g in loop.ring]
         self.box = (
-            min(min(xs) for xs, _ in every),
-            min(min(ys) for _, ys in every),
-            max(max(xs) for xs, _ in every),
-            max(max(ys) for _, ys in every),
+            min(min(loop.xs) for loop in every),
+            min(min(loop.ys) for loop in every),
+            max(max(loop.xs) for loop in every),
+            max(max(loop.ys) for loop in every),
         )
 
     def holds(self, x: int, y: int, d: int) -> bool:
@@ -122,9 +116,9 @@ class LatticeRegion:
         x0, y0, x1, y1 = self.box
         if x < x0 * d or x > x1 * d or y < y0 * d or y > y1 * d:
             return False
-        if all(lattice_location(xs, ys, x, y, d) is PointLocation.OUTSIDE for xs, ys in self.loops):
+        if all(lattice_location(loop, x, y, d) is PointLocation.OUTSIDE for loop in self.loops):
             return False
-        return all(lattice_location(xs, ys, x, y, d) is not PointLocation.INSIDE for xs, ys in self.excluded)
+        return all(lattice_location(loop, x, y, d) is not PointLocation.INSIDE for loop in self.excluded)
 
 
 def family_lattice(regions: Sequence[Region]) -> Tuple[int, List[LatticeRegion]]:
@@ -163,12 +157,13 @@ def _held_sets(family: Sequence[LatticeRegion]) -> Dict[LatticePoint, Set[int]]:
     whose ``X / D`` is.
     """
     own = [
-        [p for k, l in combinations(r.rings, 2) for m in lattice_meetings(k, l) for p in m] for r in family
+        [p for k, l in combinations(r.loops + r.excluded, 2) for m in lattice_meetings(k.ring, l.ring) for p in m]
+        for r in family
     ]
     closed = [
         not r.excluded
         or (len(r.loops) == len(r.excluded) == 1 and not meets)
-        and lattice_location(*r.loops[0], r.excluded[0][0][0], r.excluded[0][1][0], 1) is PointLocation.INSIDE
+        and lattice_location(r.loops[0], r.excluded[0].xs[0], r.excluded[0].ys[0], 1) is PointLocation.INSIDE
         for r, meets in zip(family, own)
     ]
     held: Dict[LatticePoint, Set[int]] = {}
@@ -179,7 +174,7 @@ def _held_sets(family: Sequence[LatticeRegion]) -> Dict[LatticePoint, Set[int]]:
             held.setdefault(p, set()).update(seeds)
 
     for i, r in enumerate(family):
-        found(((x, y, 1) for xs, ys in r.loops + r.excluded for x, y in zip(xs, ys)), i)
+        found(((x, y, 1) for loop in r.loops + r.excluded for x, y in zip(loop.xs, loop.ys)), i)
     for i, j, meet in boundary_meetings(family):
         found(meet, i, j)
     for i, meets in enumerate(own):

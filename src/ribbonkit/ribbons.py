@@ -82,12 +82,11 @@ def is_nested(inner: FilledCycle, outer: FilledCycle) -> bool:
     """True iff every inner vertex is strictly inside ``outer`` and the two
     boundaries do not meet anywhere.  If they do not, the inner loop lies in
     one face of the outer, so its first vertex answers for all."""
-    a, b = inner.shape, outer.shape
-    s = lcm(a.den, b.den)
-    if next(lattice_meetings(a.ring_at(s), b.ring_at(s)), None) is not None:
+    s = lcm(inner.shape.den, outer.shape.den)
+    a, b = inner.shape.at(s), outer.shape.at(s)
+    if next(lattice_meetings(a.ring, b.ring), None) is not None:
         return False
-    k = s // a.den
-    return lattice_location(b.xs, b.ys, a.xs[0] * k, a.ys[0] * k, s // b.den) is PointLocation.INSIDE
+    return lattice_location(b, a.xs[0], a.ys[0], 1) is PointLocation.INSIDE
 
 
 def is_concentric(a: FilledCycle, b: FilledCycle) -> bool:
@@ -173,7 +172,7 @@ def _check_filament(r_outer: FilledCycle, r_inner: FilledCycle, fil: Filament) -
     (ax, ay), (bx, by) = lattice_point(fa, s), lattice_point(fb, s)
     filament = lattice_ring((ax, bx), (ay, by))[:1]  # fa-fb, not the closing fb-fa
     for cycle, endpoint in ((r_outer, (ax, ay, 1)), (r_inner, (bx, by, 1))):
-        for meet in lattice_meetings(filament, cycle.shape.ring_at(s)):
+        for meet in lattice_meetings(filament, cycle.shape.at(s).ring):
             if meet != (endpoint,):
                 raise FilamentEndpointOffBoundary(
                     f"filament {fil.outer_vertex!r}-{fil.inner_vertex!r} crosses a cycle boundary"

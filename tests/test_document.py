@@ -347,6 +347,20 @@ def test_cli_rejects_oversized_numbers(old, new, error, tmp_path, capsys):
     assert len(line) < 300
 
 
+def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
+    # 5 000 nested arrays, 10 KB, pass the stack depth of the JSON decoder:
+    # a schema error, not a traceback.
+    path = tmp_path / "deep.rcx"
+    path.write_text("[" * 5000 + "]" * 5000, encoding="utf-8")
+    assert main(["validate", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "SchemaViolation"
+    assert error["message"].startswith("document is not valid JSON: ")
+
+
 def test_cli_two_vertex_cycle_exits_schema(tmp_path, capsys):
     path = tmp_path / "short.rcx"
     path.write_text(

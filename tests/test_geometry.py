@@ -28,6 +28,7 @@ from ribbonkit.geometry import (
     bounding_box,
     cross_value,
     frame_lattice,
+    lattice_location,
     lattice_meetings,
     lattice_point,
     lattice_ring,
@@ -123,10 +124,48 @@ def test_scaled_loop_is_the_sequence_of_its_points():
     assert loop.ring == lattice_ring(loop.xs, loop.ys) == [
         (0, 0, 3, 0, 0, 0, 3, 0), (3, 0, 3, 3, 3, 0, 3, 3), (3, 3, 0, 3, 0, 3, 3, 3), (0, 3, 0, 0, 0, 0, 0, 3)
     ]
-    assert loop.ring_at(1) is loop.ring and loop.ring_at(2)[1] == (6, 0, 6, 6, 6, 0, 6, 6)
+    assert loop.at(1) is loop and loop.at(2).ring[1] == (6, 0, 6, 6, 6, 0, 6, 6)
     assert loop_segments(loop) == loop_segments(SQUARE)
     assert simple_polygon(loop) is True
     assert point_in_polygon(point(1, 1), loop) is PointLocation.INSIDE
+
+
+def test_scaled_loop_at_rescales_without_a_rebuild(monkeypatch):
+    # at(den) is the loop; at(k * den) shares its points and has den, xs, ys
+    # and ring k times the loop's, on random loops at denominators 1, 2, 3
+    # and 7, and locates random points as classify does.  No ScaledLoop is
+    # built through __init__ on the way.
+    rng = Random(71)
+
+    def rational(den, size):
+        return Fraction(rng.randint(-size * den, size * den), den)
+
+    loops = []
+    for _ in range(60):
+        den = rng.choice((1, 2, 3, 7))
+        loops.append(ScaledLoop([Point2(rational(den, 3), rational(den, 3)) for _ in range(rng.randint(3, 6))]))
+    builds = []
+    init = ScaledLoop.__init__
+    monkeypatch.setattr(ScaledLoop, "__init__", lambda self, *args: builds.append(1) or init(self, *args))
+    seen = set()
+    for loop in loops:
+        assert loop.at(loop.den) is loop
+        k = rng.choice((2, 3, 7, 10**12))
+        at = loop.at(k * loop.den)
+        assert type(at) is ScaledLoop and at.points is loop.points and at.den == k * loop.den
+        assert at.xs == [x * k for x in loop.xs] and at.ys == [y * k for y in loop.ys]
+        assert at.ring == [tuple(v * k for v in g) for g in loop.ring] == lattice_ring(at.xs, at.ys)
+        for _ in range(20):
+            den = rng.choice((1, 2, 3, 7))
+            p = Point2(rational(den, 4), rational(den, 4))
+            if rng.random() < 0.2:
+                p = rng.choice(loop.points)
+            m = lcm(at.den, den)
+            got = lattice_location(at, *lattice_point(p, m), m // at.den)
+            assert got is loop.classify(p)
+            seen.add(got)
+    assert seen == set(PointLocation)
+    assert builds == []
 
 
 @pytest.mark.parametrize(
@@ -365,13 +404,15 @@ def test_frame_lattice_scales_frame_and_loops():
                 pts.append(point(rng.randint(-9, 9), rng.randint(-9, 9)))
                 pts.append(Point2(rng.randint(-9, 9), rng.randint(-9, 9)))
                 loops.append(ScaledLoop(pts))
-            s, size, scaled = frame_lattice(lo, hi, loops, factor)
+            s, lo_s, hi_s, scaled = frame_lattice(lo, hi, loops, factor)
             dens = [c.denominator for p in (lo, hi, *chain(*loops)) for c in (p.x, p.y)]
             assert s == factor * lcm(*dens)
-            for p, q in ((hi, size), *((p, q) for loop, ints in zip(loops, scaled) for p, q in zip(loop, ints))):
+            assert all(at.den == s and at.points is loop.points for loop, at in zip(loops, scaled))
+            vertices = ((p, (x, y)) for loop, at in zip(loops, scaled) for p, x, y in zip(loop, at.xs, at.ys))
+            for p, q in ((lo, lo_s), (hi, hi_s), *vertices):
                 assert type(q[0]) is int and type(q[1]) is int
-                assert q == ((p.x - lo.x) * s, (p.y - lo.y) * s)
-            assert [len(ints) for ints in scaled] == [len(loop) for loop in loops]
+                assert q == (p.x * s, p.y * s)
+            assert [len(at.xs) for at in scaled] == [len(loop) for loop in loops]
 
 
 def test_lattice_row_runs_contract():
@@ -412,7 +453,7 @@ def test_lattice_row_runs_contract():
         loops = [[(x * scale, y * scale) for x, y in loop] for loop in loops]
         ox, oy, sx, sy = ox * scale, oy * scale, sx * scale, sy * scale
         scaled = [ScaledLoop([Point2(x, y) for x, y in loop]) for loop in loops]
-        runs = lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
+        runs = lattice_row_runs(scaled, (ox, oy), (sx, sy), (columns, rows))
         assert runs == reference_lattice_row_runs(loops, (ox, oy), (sx, sy), (columns, rows))
         assert set(runs) <= set(range(rows))
         for j in range(rows):
@@ -554,5 +595,5 @@ def test_segment_meetings_contract():
         for k, l in combinations(loops, 2):
             s = lcm(k.den, l.den)
             rescaled += s != k.den or s != l.den
-            slanted += check([(k.points, k.ring_at(s))], [(l.points, l.ring_at(s))], s)
+            slanted += check([(k.points, k.at(s).ring)], [(l.points, l.at(s).ring)], s)
     assert min(slanted.values()) > 20 and len(slanted) == 6 and rescaled > 100, (slanted, rescaled)

@@ -149,3 +149,32 @@ def test_public_api_snapshot():
     }
     assert functions == GALLERY_FUNCTIONS
     assert {name: obj._fields for name, obj in own.items() if inspect.isclass(obj)} == GALLERY_TUPLES
+
+
+# The integer helpers of math; the rest of it computes in floats.
+MATH_ALLOWED = {"gcd", "lcm", "isqrt", "isfinite", "ceil"}
+# fixedpoint's gradient_angle still rounds in floats (ROADMAP item 7), and
+# svgrender only draws.
+FLOAT_EXEMPT = {"fixedpoint.py", "svgrender.py"}
+
+
+def _float_uses(path: Path) -> list:
+    """Each ``float(`` call and each float function of ``math`` imported by ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            found.append(f"{where}: float(")
+        elif isinstance(node, ast.Import):
+            found += [f"{where}: import {a.name}" for a in node.names if a.name.split(".")[0] == "math"]
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            found += [f"{where}: math.{a.name}" for a in node.names if a.name not in MATH_ALLOWED]
+    return found
+
+
+def test_no_floats_in_the_exact_core():
+    # Floats never enter a geometric decision.  An isinstance(..., float)
+    # input check is no call of float, so it stays legal.
+    found = [use for path in sorted(SRC.glob("*.py")) if path.name not in FLOAT_EXEMPT for use in _float_uses(path)]
+    assert found == []
+    assert all(_float_uses(SRC / name) for name in FLOAT_EXEMPT)  # the scan sees what it exempts
