@@ -204,7 +204,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SchemaViolation as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_SCHEMA
-    except (RibbonError, OSError, ValueError) as exc:
+    except (RibbonError, OSError, ValueError, OverflowError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -19,10 +19,10 @@ from .geometry import (
     PointLocation,
     bounding_box,
     frame_lattice,
+    lattice_gap_sq,
     lattice_location,
     lattice_ring,
     lattice_row_runs,
-    segment_point_distance_sq,
     to_fraction,
 )
 from .ribbons import Ribbon
@@ -204,9 +204,7 @@ def verify_partition(r: Ribbon, f: Frame, grid_density: int) -> PartitionReport:
             None,
         )
         if q is not None:
-            clearance = min(
-                segment_point_distance_sq(Point2(*q), Point2(*g[:2]), Point2(*g[2:4])) for g in boundaries[lab]
-            )
+            clearance = min(lattice_gap_sq(*q, g) for g in boundaries[lab])
             q = (Point2(Fraction(q[0], s), Fraction(q[1], s)), Fraction(clearance, s * s))
         witnesses[lab.value] = q
     counts = {

@@ -22,7 +22,8 @@ def to_fraction(value: RationalLike) -> Fraction:
 
     Accepts ints, Fractions and strings such as ``"3/4"`` or ``"-2"``, but
     no string with an exponent, whose size grows tenfold per unit of it:
-    ``"1e2000000"`` is an integer of two million digits.
+    ``"1e2000000"`` is an integer of two million digits, and none with a
+    zero denominator.
     Floats are accepted only when they denote an exact decimal (``0.25``
     yes, ``0.1`` no), so a lossy binary artefact can never silently leak
     into exact predicates.
@@ -34,7 +35,10 @@ def to_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, str):
         if "e" in value or "E" in value:
             raise ValueError(f"{value[:20]!r} has an exponent; write the rational out")
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"{value[:20]!r} has a zero denominator") from None
     if isinstance(value, float):
         if not isfinite(value) or Fraction(value) != Fraction(str(value)):
             raise ValueError(
@@ -159,6 +163,29 @@ def lattice_meetings(first: list, second: list) -> Iterator[Tuple[LatticePoint, 
                     yield meet
 
 
+def lattice_gap_sq(x: int, y: int, g: tuple) -> Union[int, Fraction]:
+    """Squared distance from the integer point ``(x, y)`` to the closed
+    integer segment ``g``, given by its first four entries ``(x1, y1, x2, y2)``.
+
+    An ``int`` when the nearest point is an end or ``g`` has length 0, else
+    ``Fraction(cross**2, |g|**2)``: the foot of the perpendicular is clamped
+    by comparing its parameter's numerator with the denominator.  This is the
+    one distance routine.
+    """
+    ax, ay, bx, by = g[:4]
+    abx, aby = bx - ax, by - ay
+    apx, apy = x - ax, y - ay
+    den = abx * abx + aby * aby
+    num = apx * abx + apy * aby
+    if den == 0 or num <= 0:
+        return apx * apx + apy * apy
+    if num >= den:
+        bpx, bpy = x - bx, y - by
+        return bpx * bpx + bpy * bpy
+    cross = apx * aby - apy * abx
+    return Fraction(cross * cross, den)
+
+
 def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentIntersection:
     """Exact intersection of the closed segments ``ab`` and ``cd``.
 
@@ -175,12 +202,6 @@ def segment_intersection(a: Point2, b: Point2, c: Point2, d: Point2) -> SegmentI
         return None
     kind = "point" if len(meet) == 1 else "segment"
     return (kind, *[Point2(Fraction(x, e * s), Fraction(y, e * s)) for x, y, e in meet])
-
-
-def loop_segments(loop: Sequence[Point2]) -> list:
-    """Closed run of edges of a polygon given by its vertex list."""
-    n = len(loop)
-    return [(loop[i], loop[(i + 1) % n]) for i in range(n)]
 
 
 def simple_polygon(loop: Sequence[Point2]) -> bool:
@@ -413,12 +434,10 @@ def lattice_row_runs(
     return runs
 
 
-def point_in_polygon(
-    p: Point2, loop: Sequence[Point2], *, assume_simple: bool = False
-) -> PointLocation:
+def point_in_polygon(p: Point2, loop: Sequence[Point2]) -> PointLocation:
     """Classify ``p`` against a simple closed polygon, exactly."""
     loop = as_scaled_loop(loop)
-    if not assume_simple and not simple_polygon(loop):
+    if not simple_polygon(loop):
         raise NonSimplePolygon("polygon loop is self-intersecting or degenerate")
     return loop.classify(p)
 
@@ -442,34 +461,3 @@ def vertex_centroid(points: Iterable[Point2]) -> Point2:
     sy = sum((p.y for p in pts), Fraction(0))
     return Point2(sx / n, sy / n)
 
-
-def segment_point_distance_sq(p: Point2, a: Point2, b: Point2) -> Fraction:
-    """Exact squared distance from ``p`` to the closed segment ``ab``.
-
-    The foot of the perpendicular is clamped to the segment by comparing
-    the numerator of its parameter with the denominator, so ``int``
-    coordinates give an ``int`` or a :class:`Fraction`, never a float.
-    """
-    abx, aby = b.x - a.x, b.y - a.y
-    apx, apy = p.x - a.x, p.y - a.y
-    den = abx * abx + aby * aby
-    num = apx * abx + apy * aby
-    if den == 0 or num <= 0:
-        return apx * apx + apy * apy
-    if num >= den:
-        bpx, bpy = p.x - b.x, p.y - b.y
-        return bpx * bpx + bpy * bpy
-    cross = apx * aby - apy * abx
-    return Fraction(cross * cross, den)
-
-
-def segment_segment_distance_sq(a: Point2, b: Point2, c: Point2, d: Point2) -> Fraction:
-    """Exact squared distance between two closed segments (0 when they meet)."""
-    if segment_intersection(a, b, c, d) is not None:
-        return Fraction(0)
-    return min(
-        segment_point_distance_sq(a, c, d),
-        segment_point_distance_sq(b, c, d),
-        segment_point_distance_sq(c, a, b),
-        segment_point_distance_sq(d, a, b),
-    )

@@ -24,8 +24,8 @@ from .geometry import (
     Point2,
     as_scaled_loop,
     frame_lattice,
+    lattice_gap_sq,
     lattice_row_runs,
-    segment_segment_distance_sq,
     simple_polygon,
 )
 from .nerves import Region, SimplicialComplex, boundary_meetings, family_lattice, nerve
@@ -245,17 +245,23 @@ def min_boundary_clearance_sq(regions: Sequence[Region]) -> Optional[Fraction]:
     s, family = family_lattice(regions)
     if next(boundary_meetings(family), None) is not None:
         return Fraction(0)
-    edges = [[(Point2(*g[:2]), Point2(*g[2:4]), g[4:]) for g in r.segments] for r in family]
     best = None
     for i, r1 in enumerate(family):
-        for j in range(i + 1, len(family)):
-            if best is not None and _box_gap_sq(r1.box, family[j].box) >= best:
+        for r2 in family[i + 1 :]:
+            if best is not None and _box_gap_sq(r1.box, r2.box) >= best:
                 continue
-            for a, b, box1 in edges[i]:
-                for c, d, box2 in edges[j]:
-                    if best is not None and _box_gap_sq(box1, box2) >= best:
+            for g in r1.segments:
+                for h in r2.segments:
+                    if best is not None and _box_gap_sq(g[4:], h[4:]) >= best:
                         continue
-                    dist = segment_segment_distance_sq(a, b, c, d)
+                    # The boundaries do not meet, so neither do g and h, and the
+                    # nearest points of two such segments include an end of one.
+                    dist = min(
+                        lattice_gap_sq(g[0], g[1], h),
+                        lattice_gap_sq(g[2], g[3], h),
+                        lattice_gap_sq(h[0], h[1], g),
+                        lattice_gap_sq(h[2], h[3], g),
+                    )
                     if best is None or dist < best:
                         best = dist
     return None if best is None else Fraction(best, s * s)

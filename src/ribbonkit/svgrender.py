@@ -92,9 +92,11 @@ def render_svg(doc: ComplexDocument, target_name: str) -> str:
             )
         if r.label:
             anchor = r.outer.points[0]
+            # By hand: importing xml.sax.saxutils loads urllib (about 6 MB).
+            label = r.label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
             out.append(
                 f'<text x="{_fmt(anchor.x)}" y="{_fmt(fy(anchor.y))}" '
-                f'font-size="0.25">{r.label}</text>'
+                f'font-size="0.25">{label}</text>'
             )
     out.append("</svg>")
     return "\n".join(out) + "\n"

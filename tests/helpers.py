@@ -4,7 +4,8 @@ rational reader that builds a Fraction per coordinate, the loop rescale
 from Fraction coordinates, the level-wise nerve enumerator, the rational-arithmetic nerve, witness and
 candidate list with its segment-meeting scan, the closure-based complex (maximal search and ranks over
 every simplex), the per-pixel raster with its breadth-first
-counts, the row scan with a division per edge and row, the unpruned clearance loop, the all-pairs CW intersection check,
+counts, the row scan with a division per edge and row, the unpruned clearance loop with the Fraction
+segment distances that ``geometry.lattice_gap_sq`` replaced, the all-pairs CW intersection check,
 the unpruned simplicity, nesting and filament tests and the per-sample
 partition check."""
 import re
@@ -45,11 +46,8 @@ from ribbonkit.geometry import (
     bounding_box,
     boxes_meet,
     cross_value,
-    loop_segments,
     point,
     polygon_area2,
-    segment_point_distance_sq,
-    segment_segment_distance_sq,
     to_fraction,
     vertex_centroid,
 )
@@ -71,6 +69,12 @@ _counter = [0]
 def _fresh_prefix() -> str:
     _counter[0] += 1
     return f"g{_counter[0]}"
+
+
+def loop_segments(loop: Sequence[Point2]) -> list:
+    """Closed run of edges of a polygon given by its vertex list."""
+    n = len(loop)
+    return [(loop[i], loop[(i + 1) % n]) for i in range(n)]
 
 
 def add_rect_loop(k: CellComplex, prefix: str, x0, y0, x1, y1):
@@ -636,6 +640,38 @@ def reference_cubical_betti(b: Bitmap):
         if not touches:
             holes += 1
     return (len(comps), holes)
+
+
+def segment_point_distance_sq(p: Point2, a: Point2, b: Point2) -> Fraction:
+    """Exact squared distance from ``p`` to the closed segment ``ab``.
+
+    The foot of the perpendicular is clamped to the segment by comparing
+    the numerator of its parameter with the denominator, so ``int``
+    coordinates give an ``int`` or a :class:`Fraction`, never a float.
+    """
+    abx, aby = b.x - a.x, b.y - a.y
+    apx, apy = p.x - a.x, p.y - a.y
+    den = abx * abx + aby * aby
+    num = apx * abx + apy * aby
+    if den == 0 or num <= 0:
+        return apx * apx + apy * apy
+    if num >= den:
+        bpx, bpy = p.x - b.x, p.y - b.y
+        return bpx * bpx + bpy * bpy
+    cross = apx * aby - apy * abx
+    return Fraction(cross * cross, den)
+
+
+def segment_segment_distance_sq(a: Point2, b: Point2, c: Point2, d: Point2) -> Fraction:
+    """Exact squared distance between two closed segments (0 when they meet)."""
+    if fraction_segment_intersection(a, b, c, d) is not None:
+        return Fraction(0)
+    return min(
+        segment_point_distance_sq(a, c, d),
+        segment_point_distance_sq(b, c, d),
+        segment_point_distance_sq(c, a, b),
+        segment_point_distance_sq(d, a, b),
+    )
 
 
 def reference_clearance_sq(regions):

@@ -3,7 +3,7 @@ from random import Random
 
 import pytest
 
-from helpers import add_rect_loop, random_rect_ribbon, reference_verify_partition, translate_ribbon
+from helpers import add_rect_loop, loop_segments, random_rect_ribbon, reference_verify_partition, translate_ribbon
 
 from ribbonkit import division, gallery
 from ribbonkit.complexes import CellComplex
@@ -15,7 +15,7 @@ from ribbonkit.division import (
     verify_partition,
 )
 from ribbonkit.errors import FrameTooSmall, PointOutsideFrame, RibbonError
-from ribbonkit.geometry import Point2, loop_segments, point
+from ribbonkit.geometry import Point2, point
 from ribbonkit.ribbons import Ribbon, make_filled_cycle, make_ribbon
 
 

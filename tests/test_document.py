@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 from random import Random
+from xml.dom import minidom
 
 import pytest
 
@@ -359,6 +360,66 @@ def test_cli_rejects_deeply_nested_json(tmp_path, capsys):
     error = json.loads(line)
     assert error["error"] == "SchemaViolation"
     assert error["message"].startswith("document is not valid JSON: ")
+
+
+def _scaled_filament_sample(tmp_path, scale: int) -> str:
+    """The filament sample with every coordinate times ``scale``."""
+    payload = json.loads((SAMPLES / "filament_ribbon.rcx").read_text(encoding="utf-8"))
+    k = payload["complexes"]["Kf"]
+
+    def times(pair):
+        return [format_rational(parse_rational(v, "$") * scale) for v in pair]
+
+    k["vertices"] = {v: times(xy) for v, xy in k["vertices"].items()}
+    for ribbon in k["ribbons"].values():
+        ribbon["holes"] = [times(xy) for xy in ribbon["holes"]]
+    path = tmp_path / "scaled.rcx"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    return str(path)
+
+
+# A zero denominator and coordinates past float range (which only the SVG
+# writer and the fixed-point probe turn into floats) are computation errors:
+# one JSON line on stderr and exit 4, not a traceback.
+@pytest.mark.parametrize("case", ("zero_denominator", "render_past_float_range", "probe_past_float_range"))
+def test_cli_unrepresentable_numbers_exit_4(case, tmp_path, capsys):
+    if case == "zero_denominator":
+        argv = ["near", str(SAMPLES / "proximity_demo.rcx"), "--a", "ring", "--b", "lower",
+                "--probes", "b1_cycles", "--th", "1/0"]
+        want = ("ValueError", "'1/0' has a zero denominator")
+    elif case == "render_past_float_range":
+        path = tmp_path / "far.rcx"
+        path.write_text(
+            '{"complexes":{"K":{"cycles":{"c":["a","b","c"]},'
+            '"vertices":{"a":["0","0"],"b":["%d","0"],"c":["0","1"]}}},"format_version":1}' % 10**400,
+            encoding="utf-8",
+        )
+        argv = ["render", str(path), "--target", "c", "-o", str(tmp_path / "far.svg")]
+        want = ("OverflowError", None)
+    else:
+        argv = ["near", _scaled_filament_sample(tmp_path, 10**400), "--a", "ring", "--b", "ring",
+                "--probes", "fixed_point_gradient_angle", "--th", "1"]
+        want = ("OverflowError", None)
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    got = json.loads(captured.err)
+    assert got["error"] == want[0]
+    if want[1] is not None:  # an overflow's message is the interpreter's own
+        assert got["message"] == want[1]
+
+
+def test_cli_render_escapes_ribbon_labels(tmp_path, capsys):
+    label = "a&b</text><script>x</script>"
+    text = (SAMPLES / "filament_ribbon.rcx").read_text(encoding="utf-8")
+    path = tmp_path / "label.rcx"
+    path.write_text(text.replace('"ribbons":{"ring":', '"ribbons":{%s:' % json.dumps(label), 1), encoding="utf-8")
+    out = tmp_path / "label.svg"
+    assert main(["render", str(path), "--target", label, "-o", str(out)]) == 0
+    svg = minidom.parse(str(out))
+    (node,) = svg.getElementsByTagName("text")
+    assert node.firstChild.data == label
+    assert svg.getElementsByTagName("script") == []
 
 
 def test_cli_two_vertex_cycle_exits_schema(tmp_path, capsys):

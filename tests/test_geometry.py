@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     fraction_segment_intersection,
+    loop_segments,
     nudged_map,
     on_segment,
     random_slanted_family,
@@ -15,6 +16,8 @@ from helpers import (
     reference_scaled_loop,
     reference_segment_intersection,
     reference_simple_polygon,
+    segment_point_distance_sq,
+    segment_segment_distance_sq,
 )
 
 from ribbonkit.complexes import CellComplex
@@ -28,18 +31,17 @@ from ribbonkit.geometry import (
     bounding_box,
     cross_value,
     frame_lattice,
+    lattice_gap_sq,
     lattice_location,
+    lattice_meet,
     lattice_meetings,
     lattice_point,
     lattice_ring,
     lattice_row_runs,
-    loop_segments,
     orientation,
     point,
     point_in_polygon,
     segment_intersection,
-    segment_point_distance_sq,
-    segment_segment_distance_sq,
     simple_polygon,
     to_fraction,
 )
@@ -96,6 +98,13 @@ def test_to_fraction_rejects_exponents():
         with pytest.raises(ValueError):
             to_fraction(text)
     assert to_fraction(1e20) == 10**20  # a float, whose repr "1e+20" has one
+
+
+def test_to_fraction_rejects_zero_denominator():
+    with pytest.raises(ValueError, match="^'1/0' has a zero denominator$"):
+        to_fraction("1/0")
+    with pytest.raises(ValueError):
+        point("1/0", 0)
 
 
 def test_to_fraction_rejects_inexact_float():
@@ -170,7 +179,7 @@ def test_scaled_loop_at_rescales_without_a_rebuild(monkeypatch):
 
 @pytest.mark.parametrize(
     "build",
-    (ScaledLoop, simple_polygon, lambda pts: point_in_polygon(point(0, 0), pts, assume_simple=True)),
+    (ScaledLoop, simple_polygon, lambda pts: point_in_polygon(point(0, 0), pts)),
 )
 def test_two_vertex_loop_raises_too_few_vertices(build):
     with pytest.raises(TooFewVertices, match="^a polygon needs at least 3 vertices, got 2$"):
@@ -283,21 +292,6 @@ def test_segment_intersection_cases():
     assert segment_intersection(point(1, 2), point(1, 2), point(0, 0), point(4, 0)) is None
 
 
-def test_segment_distances():
-    assert segment_point_distance_sq(point(0, 1), point(-2, 0), point(2, 0)) == 1
-    assert segment_point_distance_sq(point(4, 0), point(-2, 0), point(2, 0)) == 4
-    assert segment_segment_distance_sq(point(0, 0), point(1, 0), point(0, 2), point(1, 2)) == 4
-    assert segment_segment_distance_sq(point(0, 0), point(2, 2), point(0, 2), point(2, 0)) == 0
-
-
-def _lattice_point(rng: Random, side: int, den: int) -> Point2:
-    return Point2(Fraction(rng.randint(0, side * den), den), Fraction(rng.randint(0, side * den), den))
-
-
-def _exact(value) -> bool:
-    return isinstance(value, (int, Fraction))
-
-
 def _projection_distance_sq(p, a, b) -> Fraction:
     """Squared distance to the clamped foot of the perpendicular, in Fractions."""
     ab = (Fraction(b.x - a.x), Fraction(b.y - a.y))
@@ -307,33 +301,62 @@ def _projection_distance_sq(p, a, b) -> Fraction:
     return (ap[0] - t * ab[0]) ** 2 + (ap[1] - t * ab[1]) ** 2
 
 
+def _min_of_four(g, h):
+    """Least end gap of two lattice segments, the distance of two that do not meet."""
+    return min(
+        lattice_gap_sq(*g[:2], h), lattice_gap_sq(*g[2:], h), lattice_gap_sq(*h[:2], g), lattice_gap_sq(*h[2:], g)
+    )
+
+
+def test_segment_distances():
+    assert lattice_gap_sq(0, 1, (-2, 0, 2, 0)) == 1
+    assert lattice_gap_sq(4, 0, (-2, 0, 2, 0)) == 4
+    assert _min_of_four((0, 0, 1, 0), (0, 2, 1, 2)) == 4
+    # Segments that meet are at distance 0, which the ends alone do not show.
+    assert lattice_meet((0, 0, 2, 2), (0, 2, 2, 0)) is not None
+    assert segment_segment_distance_sq(point(0, 0), point(2, 2), point(0, 2), point(2, 0)) == 0
+
+
 def test_segment_distances_are_exact_on_ints():
-    got = segment_point_distance_sq(Point2(1, 1), Point2(0, 0), Point2(3, 1))
-    assert got == Fraction(2, 5) and _exact(got)
-    # Lattice ints give the values of the same points given as Fractions,
-    # with feet before, inside and past each end and degenerate segments.
+    got = lattice_gap_sq(1, 1, (0, 0, 3, 1))
+    assert got == Fraction(2, 5) and type(got) is Fraction
+    # Points at denominators 1, 2, 3 and 7, scaled to their common lattice,
+    # are as far from a segment, times the scale squared, as the helpers'
+    # Fraction distance and the clamped projection find, with feet before,
+    # inside and past each end and segments of length 0; an end or a point
+    # gives an int.  Two segments that do not meet are at the least of their
+    # four end gaps.
     rng = Random(43)
-    feet = set()
+    feet = Counter()
+    apart = 0
     for _ in range(2000):
-        ints = [Point2(rng.randint(-4, 4), rng.randint(-4, 4)) for _ in range(4)]
-        fracs = [Point2(Fraction(p.x), Fraction(p.y)) for p in ints]
-        p, a, b, c = ints
-        want = _projection_distance_sq(p, a, b)
-        for q in (ints, fracs):
-            got = segment_point_distance_sq(*q[:3])
-            assert _exact(got) and got == want
+        den = rng.choice((1, 2, 3, 7))
+        p, a, b, c, d = (
+            Point2(Fraction(rng.randint(-4 * den, 4 * den), rng.choice((1, den))),
+                   Fraction(rng.randint(-4 * den, 4 * den), rng.choice((1, den))))
+            for _ in range(5)
+        )
+        if rng.random() < 0.1:
+            b = a
+        s = lcm(*(v.denominator for q in (p, a, b, c, d) for v in (q.x, q.y)))
+        x, y = lattice_point(p, s)
+        g, h = (*lattice_point(a, s), *lattice_point(b, s)), (*lattice_point(c, s), *lattice_point(d, s))
+        got = lattice_gap_sq(x, y, g)
+        assert got == segment_point_distance_sq(p, a, b) * s * s == _projection_distance_sq(p, a, b) * s * s
         t = (p.x - a.x) * (b.x - a.x) + (p.y - a.y) * (b.y - a.y)
-        den = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
-        feet.add("point" if den == 0 else "before" if t <= 0 else "past" if t >= den else "inside")
-        got = segment_segment_distance_sq(a, b, c, p)
-        assert _exact(got) and got == segment_segment_distance_sq(*fracs[1:], fracs[0])
-        meets = segment_intersection(a, b, c, p) is not None
-        assert (got == 0) is meets
-        if not meets:
-            assert got == min(
-                _projection_distance_sq(*q) for q in ((a, c, p), (b, c, p), (c, a, b), (p, a, b))
-            )
-    assert feet == {"point", "before", "inside", "past"}
+        length = (b.x - a.x) ** 2 + (b.y - a.y) ** 2
+        foot = "point" if length == 0 else "before" if t <= 0 else "past" if t >= length else "inside"
+        feet[foot] += 1
+        assert type(got) is (Fraction if foot == "inside" else int), (foot, got)
+        if fraction_segment_intersection(a, b, c, d) is None:
+            apart += 1
+            assert _min_of_four(g, h) == segment_segment_distance_sq(a, b, c, d) * s * s
+    assert min(feet[foot] for foot in ("point", "before", "inside", "past")) > 50, feet
+    assert apart > 1000
+
+
+def _lattice_point(rng: Random, side: int, den: int) -> Point2:
+    return Point2(Fraction(rng.randint(0, side * den), den), Fraction(rng.randint(0, side * den), den))
 
 
 def test_segment_intersection_matches_division_form():

@@ -544,10 +544,8 @@ def test_clearance_reads_zero_off_the_nerves_meeting_scan(monkeypatch):
     # The first two regions are far apart, the last two cross: the meeting
     # scan answers 0 before any segment distance is taken.
     calls = []
-    distance = homology.segment_segment_distance_sq
-    monkeypatch.setattr(
-        homology, "segment_segment_distance_sq", lambda *a: calls.append(a) or distance(*a)
-    )
+    distance = homology.lattice_gap_sq
+    monkeypatch.setattr(homology, "lattice_gap_sq", lambda *a: calls.append(a) or distance(*a))
     regions = [
         Region(loops=(_rect(0, 0, 1, 1),)),
         Region(loops=(_rect(20, 20, 21, 21),)),

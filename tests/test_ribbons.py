@@ -7,6 +7,7 @@ import pytest
 
 from helpers import (
     add_rect_loop,
+    loop_segments,
     nudged_map,
     on_segment,
     random_rect_ribbon,
@@ -30,7 +31,6 @@ from ribbonkit.errors import (
 from ribbonkit.geometry import (
     Point2,
     PointLocation,
-    loop_segments,
     point,
     point_in_polygon,
     segment_intersection,
@@ -215,8 +215,8 @@ def test_membership_matches_set_equation_on_grid():
     for ix in range(-6, 14):
         for iy in range(-2, 9):
             p = Point2(Fraction(ix, 4), Fraction(iy, 4))
-            in_outer = point_in_polygon(p, outer_pts, assume_simple=True)
-            in_inner = point_in_polygon(p, inner_pts, assume_simple=True)
+            in_outer = point_in_polygon(p, outer_pts)
+            in_inner = point_in_polygon(p, inner_pts)
             in_ribbon_set = in_outer is not PointLocation.OUTSIDE and (
                 in_inner is not PointLocation.INSIDE
             )
